@@ -27,9 +27,6 @@ design space in parallel::
     space = explore(["dealer", "gcd", "vender"], budgets=[5, 6, 7],
                     workers=4)
     print(space.table())
-
-The pre-1.1 entry points ``synthesize`` / ``synthesize_pair`` still work
-as deprecated shims over the pipeline.
 """
 
 from repro.circuits import abs_diff, build, cordic, dealer, diffeq, gcd, vender
@@ -40,7 +37,6 @@ from repro.core import (
     compute_cones,
     describe_decisions,
 )
-from repro.flow import synthesize, synthesize_pair
 from repro.ir import CDFG, GraphBuilder, Op, ResourceClass, unroll
 from repro.pipeline import (
     ArtifactCache,
@@ -55,7 +51,6 @@ from repro.pipeline import (
     default_stages,
     explore,
     register_scheduler,
-    run_flow,
     run_pair,
 )
 from repro.opt import Objective, OptResult, SearchSpec, optimize
@@ -127,11 +122,8 @@ __all__ = [
     "optimize",
     "random_vectors",
     "register_scheduler",
-    "run_flow",
     "run_pair",
     "static_power",
-    "synthesize",
-    "synthesize_pair",
     "unroll",
     "vender",
 ]

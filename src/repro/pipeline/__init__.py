@@ -20,7 +20,6 @@ from repro.pipeline.context import FlowContext, MissingArtifactError
 from repro.pipeline.engine import (
     Pipeline,
     PipelineWiringError,
-    run_flow,
     run_pair,
 )
 from repro.pipeline.explore import (
@@ -36,7 +35,6 @@ from repro.pipeline.explore import (
     plan_jobs,
     run_chunk,
 )
-from repro.pipeline.index import IndexedArtifactStore
 from repro.pipeline.registry import (
     UnknownSchedulerError,
     available_schedulers,
@@ -73,7 +71,6 @@ __all__ = [
     "ExplorationResult",
     "FlowConfig",
     "FlowContext",
-    "IndexedArtifactStore",
     "MissingArtifactError",
     "PARETO_OBJECTIVES",
     "Pipeline",
@@ -103,7 +100,6 @@ __all__ = [
     "plan_jobs",
     "register_scheduler",
     "run_chunk",
-    "run_flow",
     "run_pair",
     "supports_initiation_interval",
     "unregister_scheduler",

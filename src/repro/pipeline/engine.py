@@ -10,7 +10,7 @@ instead of recomputed.
 from __future__ import annotations
 
 import time
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.ir.graph import CDFG
 from repro.pipeline.cache import ArtifactCache
@@ -94,15 +94,6 @@ class Pipeline:
                 "or use run_context()")
         return ctx.result
 
-    def run_many(self, jobs: Sequence[tuple[CDFG, FlowConfig]],
-                 ) -> list[FlowContext]:
-        """Run several (graph, config) jobs through this one pipeline.
-
-        Sequential — cache reuse across jobs is the point.  For process
-        parallelism over a design space use :func:`repro.pipeline.explore`.
-        """
-        return [self.run_context(graph, config) for graph, config in jobs]
-
     def _run_stage(self, stage: Stage, ctx: FlowContext) -> None:
         use_cache = self.cache is not None and stage.cacheable
         key = stage.cache_key(ctx) if use_cache else None
@@ -126,12 +117,6 @@ class Pipeline:
         if use_cache:
             self.cache.store(key, produced)
             ctx.cache_misses.append(stage.name)
-
-
-def run_flow(graph: CDFG, config: FlowConfig,
-             pipeline: Pipeline | None = None) -> SynthesisResult:
-    """One-shot convenience: run the default pipeline on one config."""
-    return (pipeline or Pipeline()).run(graph, config)
 
 
 def run_pair(graph: CDFG, config: FlowConfig,

@@ -1,7 +1,4 @@
-"""Synthesis result containers (moved here from ``repro.flow``).
-
-``repro.flow`` re-exports both classes, so existing imports keep working.
-"""
+"""Synthesis result containers: one design, and a baseline/managed pair."""
 
 from __future__ import annotations
 

@@ -8,8 +8,10 @@ optimizer into an always-on service:
   and one SQLite-indexed artifact store;
 * :class:`ServeClient` — the stdlib client the CLI and tests drive it
   with;
+* :class:`LeaseStore` — the shared SQLite job queue (the durable job
+  state) every server on one state directory drains;
 * :class:`JobRegistry` / :class:`Job` / :class:`JobState` — the
-  journaled job table and its lifecycle state machine;
+  per-server job table, event feeds and lifecycle state machine;
 * :func:`start_in_thread` — run a server on a background thread (tests,
   benches, notebooks).
 

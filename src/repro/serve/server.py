@@ -9,7 +9,7 @@ One :class:`JobServer` owns five things:
   :class:`repro.serve.client.ServeClient` can talk to it;
 * a persistent :class:`~concurrent.futures.ProcessPoolExecutor` every
   job shards its work onto — many concurrent jobs multiplex one pool;
-* an :class:`~repro.pipeline.index.IndexedArtifactStore` under
+* a :class:`~repro.pipeline.store.DiskArtifactCache` under
   ``<state_dir>/store`` shared by all workers, so every stage artifact
   and candidate evaluation any job ever computed warms every later job;
 * a :class:`~repro.serve.jobs.LeaseStore` — the shared SQLite queue at
@@ -66,7 +66,7 @@ from repro.pipeline.explore import (
     plan_jobs,
     run_chunk,
 )
-from repro.pipeline.index import IndexedArtifactStore
+from repro.pipeline.store import DiskArtifactCache
 from repro.serve.jobs import (
     QUEUE_NAME,
     Job,
@@ -140,8 +140,8 @@ class JobServer:
         self.idle_timeout_s = IDLE_TIMEOUT_S
         self.request_timeout_s = REQUEST_TIMEOUT_S
         self.sse_keepalive_s = SSE_KEEPALIVE_S
-        self.store = IndexedArtifactStore(self.state_dir / "store",
-                                          max_entries=max_store_entries)
+        self.store = DiskArtifactCache(self.state_dir / "store",
+                                       max_entries=max_store_entries)
         self.queue = LeaseStore(self.state_dir / QUEUE_NAME,
                                 lease_s=lease_s)
         self.registry = JobRegistry(on_event=self._on_job_event)
@@ -234,7 +234,6 @@ class JobServer:
                 self.queue.release(self.server_id)
             except Exception:  # noqa: BLE001 - shutdown best-effort
                 pass
-        self.registry.close()
         self.store.close()
         self.queue.close()
         self._io.shutdown(wait=False)
@@ -458,6 +457,8 @@ class JobServer:
                     for index, key, point in future.result():
                         points[index] = point
                         journal_point(journal, key, point)
+                        self._count_store_lookups(point.store_hits,
+                                                  point.store_misses)
                         job.completed += 1
                         self.registry.push(job, {
                             "type": "point", "resumed": False,
@@ -561,6 +562,7 @@ class JobServer:
                 return
             await asyncio.sleep(PROGRESS_POLL_S)
         summary = future.result()
+        self._count_store_lookups(summary["store_hits"])
         records, offset = read_progress(progress_path, offset)
         for record in records:
             job.completed += 1
@@ -609,14 +611,15 @@ class JobServer:
                 "kept": outcome.kept, "dropped": outcome.dropped,
                 "bytes_before": outcome.bytes_before,
                 "bytes_after": outcome.bytes_after}
-        registry = self.registry.compact()
-        if registry is not None:
-            journals["jobs.jsonl"] = {
-                "kept": registry.kept, "dropped": registry.dropped,
-                "bytes_before": registry.bytes_before,
-                "bytes_after": registry.bytes_after}
         return {"journals": journals, "store": self.store.gc(),
                 "queue": self.queue.checkpoint()}
+
+    def _count_store_lookups(self, hits: int, misses: int = 0) -> None:
+        """Fold a pool worker's store lookups into the counters /stats
+        reports: workers look up in their own unpickled copy of the
+        store, so ``self.store.stats`` never sees them otherwise."""
+        self.store.stats.hits += hits
+        self.store.stats.misses += misses
 
     def stats(self) -> dict:
         return {

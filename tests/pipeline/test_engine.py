@@ -120,12 +120,13 @@ class TestRun:
         assert on.get("verified") is True
         assert off.get("verified") is False
 
-    def test_run_many_shares_one_cache(self, dealer_graph, gcd_graph):
+    def test_repeated_runs_share_one_cache(self, dealer_graph, gcd_graph):
         pipeline = Pipeline(cache=ArtifactCache())
         jobs = [(dealer_graph, FlowConfig(n_steps=6)),
                 (gcd_graph, FlowConfig(n_steps=7)),
                 (dealer_graph, FlowConfig(n_steps=6))]
-        contexts = pipeline.run_many(jobs)
+        contexts = [pipeline.run_context(graph, config)
+                    for graph, config in jobs]
         assert len(contexts) == 3
         assert not contexts[0].cache_hits
         assert contexts[2].cache_hits  # repeat of job 0

@@ -1,30 +1,57 @@
-"""IndexedArtifactStore specifics: exact LRU, the SQLite index, gc,
-interop with plain DiskArtifactCache writers, concurrent eviction.
+"""DiskArtifactCache's SQLite index: exact LRU, gc, concurrent eviction,
+and serving a tree written before the index existed.
 
-The shared store contract (miss/hit, persistence, corruption, pickling)
-runs against this class too — see ``test_store.py``; here live only the
-behaviors the index adds.
+The store contract (miss/hit, persistence, corruption, pickling) lives
+in ``test_store.py``; here live the behaviors the index provides.
 """
 
 import concurrent.futures
+import hashlib
+import pickle
 import sqlite3
+from pathlib import Path
 
 import pytest
 
-from repro.pipeline import DiskArtifactCache, IndexedArtifactStore
-from repro.pipeline.index import INDEX_NAME
+from repro.pipeline import CacheStats, DiskArtifactCache, FlowConfig, Pipeline
+from repro.pipeline.store import INDEX_NAME
+
+CACHEABLE = ("analyze", "power_manage", "schedule", "allocate", "elaborate")
 
 
 @pytest.fixture
 def store(tmp_path):
-    return IndexedArtifactStore(tmp_path / "store")
+    return DiskArtifactCache(tmp_path / "store")
+
+
+class IndexlessWriter:
+    """Writes entries the way the store did before it had an index: one
+    pickle per key at ``<root>/<sha256[:2]>/<sha256[2:]>.pkl`` and no
+    ``index.db``.  Lookups always miss, so a pipeline stores every
+    cacheable stage."""
+
+    def __init__(self, root):
+        self.root = Path(root)
+        self.stats = CacheStats()
+
+    def lookup(self, key):
+        return None
+
+    def store(self, key, artifacts):
+        digest = hashlib.sha256(f"v1:{key!r}".encode("utf-8")).hexdigest()
+        path = self.root / digest[:2] / f"{digest[2:]}.pkl"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(pickle.dumps(dict(artifacts),
+                                      protocol=pickle.HIGHEST_PROTOCOL))
+
+    def clear(self):
+        pass
 
 
 class TestExactEviction:
     def test_evicts_exactly_to_the_bound(self, tmp_path):
-        """Unlike DiskArtifactCache's amortized batches, the indexed
-        store holds len() == max_entries after every overflow."""
-        store = IndexedArtifactStore(tmp_path / "s", max_entries=32)
+        """The store holds len() == max_entries after every overflow."""
+        store = DiskArtifactCache(tmp_path / "s", max_entries=32)
         for k in range(40):
             store.store((f"k{k}",), {"v": k})
             assert len(store) <= 32
@@ -35,12 +62,11 @@ class TestExactEviction:
         assert all((f"k{k}",) in store for k in range(8, 40))
 
     def test_recency_is_call_order_not_mtime(self, tmp_path):
-        """The index sequences recency; touching file mtimes (which
-        would reorder the plain cache's LRU) changes nothing."""
+        """The index sequences recency; file mtimes change nothing."""
         import os
         import time
 
-        store = IndexedArtifactStore(tmp_path / "s", max_entries=2)
+        store = DiskArtifactCache(tmp_path / "s", max_entries=2)
         store.store(("old",), {"v": 1})
         store.store(("new",), {"v": 2})
         # Make "new" look ancient on disk; the index still knows better.
@@ -51,7 +77,7 @@ class TestExactEviction:
         assert ("new",) in store
 
     def test_just_written_entry_is_never_the_victim(self, tmp_path):
-        store = IndexedArtifactStore(tmp_path / "s", max_entries=1)
+        store = DiskArtifactCache(tmp_path / "s", max_entries=1)
         for k in range(5):
             store.store((f"k{k}",), {"v": k})
             assert store.lookup((f"k{k}",)) == {"v": k}
@@ -81,12 +107,12 @@ class TestIndex:
         assert len(store) == 0
 
     def test_format_mismatch_rebuilds_the_index(self, tmp_path):
-        store = IndexedArtifactStore(tmp_path / "s")
+        store = DiskArtifactCache(tmp_path / "s")
         store.store(("k",), {"v": 1})
         store.close()
         with sqlite3.connect(store.index_path) as conn:
             conn.execute("UPDATE meta SET v = 999 WHERE k='format'")
-        reopened = IndexedArtifactStore(tmp_path / "s")
+        reopened = DiskArtifactCache(tmp_path / "s")
         assert len(reopened) == 0      # index dropped...
         assert ("k",) in reopened      # ...but the tree is the truth
         assert reopened.gc()["adopted"] == 1
@@ -99,20 +125,62 @@ class TestIndex:
         assert store.lookup(("k",)) == {"v": 1}
 
 
-class TestGC:
-    def test_adopts_entries_a_plain_cache_wrote(self, tmp_path):
-        plain = DiskArtifactCache(tmp_path / "s")
-        plain.store(("a",), {"v": 1})
-        plain.store(("b",), {"v": 2})
-        store = IndexedArtifactStore(tmp_path / "s")
-        assert len(store) == 0         # index knows nothing yet
-        assert ("a",) in store         # but membership is file-based
-        outcome = store.gc()
-        assert outcome["adopted"] == 2
-        assert len(store) == 2
-        assert store.total_bytes() > 0
-        assert store.lookup(("a",)) == {"v": 1}
+class TestUpgrade:
+    """A store tree with no ``index.db`` — the layout the store left
+    before it kept an index — is served warm and adopted by gc."""
 
+    @pytest.fixture
+    def tree(self, tmp_path, gcd_graph):
+        root = tmp_path / "s"
+        cold = Pipeline(cache=IndexlessWriter(root)).run_context(
+            gcd_graph, FlowConfig(n_steps=7))
+        assert cold.cache_misses == list(CACHEABLE)
+        assert not (root / INDEX_NAME).exists()
+        sizes = sum(p.stat().st_size for p in root.glob("??/*.pkl"))
+        return root, cold, sizes
+
+    def test_serves_it_warm_with_zero_recomputed_stages(self, tree,
+                                                        gcd_graph):
+        root, cold, sizes = tree
+        store = DiskArtifactCache(root)
+        warm = Pipeline(cache=store).run_context(gcd_graph,
+                                                 FlowConfig(n_steps=7))
+        assert warm.cache_hits == list(CACHEABLE)
+        assert warm.cache_misses == []
+        assert warm.result.design.summary() == \
+            cold.result.design.summary()
+        # Each hit indexed its entry, sizes included.
+        assert len(store) == len(CACHEABLE)
+        assert store.total_bytes() == sizes
+        assert store.gc() == {"entries": len(CACHEABLE), "adopted": 0,
+                              "dropped": 0, "evicted": 0}
+
+    def test_gc_adopts_every_entry(self, tree, gcd_graph):
+        root, _, sizes = tree
+        store = DiskArtifactCache(root)
+        assert len(store) == 0         # the new index knows nothing yet
+        outcome = store.gc()
+        assert outcome == {"entries": len(CACHEABLE),
+                           "adopted": len(CACHEABLE),
+                           "dropped": 0, "evicted": 0}
+        assert store.total_bytes() == sizes
+        warm = Pipeline(cache=store).run_context(gcd_graph,
+                                                 FlowConfig(n_steps=7))
+        assert warm.cache_misses == []
+
+    def test_gc_reapplies_the_bound(self, tmp_path):
+        writer = IndexlessWriter(tmp_path / "s")
+        for k in range(10):
+            writer.store((f"k{k}",), {"v": k})
+        store = DiskArtifactCache(tmp_path / "s", max_entries=4)
+        outcome = store.gc()
+        assert outcome["adopted"] == 10
+        assert outcome["evicted"] == 6
+        assert len(store) == 4
+        assert len(list(store.root.glob("??/*.pkl"))) == 4
+
+
+class TestGC:
     def test_drops_rows_for_vanished_files(self, store):
         store.store(("a",), {"v": 1})
         store.store(("b",), {"v": 2})
@@ -120,17 +188,6 @@ class TestGC:
         outcome = store.gc()
         assert outcome["dropped"] == 1
         assert outcome["entries"] == 1
-
-    def test_reapplies_the_bound(self, tmp_path):
-        # An unindexed writer overfills the tree; gc brings it back.
-        plain = DiskArtifactCache(tmp_path / "s", max_entries=100)
-        for k in range(10):
-            plain.store((f"k{k}",), {"v": k})
-        store = IndexedArtifactStore(tmp_path / "s", max_entries=4)
-        outcome = store.gc()
-        assert outcome["adopted"] == 10
-        assert outcome["evicted"] == 6
-        assert len(store) == 4
 
     def test_noop_on_clean_store(self, store):
         store.store(("k",), {"v": 1})
@@ -141,10 +198,10 @@ class TestGC:
 class TestConcurrency:
     def test_concurrent_writers_evict_disjoint_victims(self, tmp_path):
         """Hammer one bounded store from many threads: the claim-then-
-        unlink protocol keeps the index exact (the mtime scan this
-        replaces could double-count or over-evict here)."""
+        unlink protocol keeps the index exact (no double-counted or
+        over-eager evictions)."""
         root = tmp_path / "s"
-        writers = [IndexedArtifactStore(root, max_entries=16)
+        writers = [DiskArtifactCache(root, max_entries=16)
                    for _ in range(4)]
 
         def hammer(writer, base):
@@ -154,7 +211,7 @@ class TestConcurrency:
 
         with concurrent.futures.ThreadPoolExecutor(4) as pool:
             evictions = list(pool.map(hammer, writers, range(4)))
-        fresh = IndexedArtifactStore(root, max_entries=16)
+        fresh = DiskArtifactCache(root, max_entries=16)
         assert len(fresh) == 16
         # Every over-bound store evicted exactly once in aggregate:
         # 160 stores into 16 slots -> 144 evictions, no double counts.
@@ -163,7 +220,7 @@ class TestConcurrency:
 
     def test_eviction_tolerates_prestolen_files(self, tmp_path):
         # Simulate a racing evictor having already unlinked the victim.
-        store = IndexedArtifactStore(tmp_path / "s", max_entries=2)
+        store = DiskArtifactCache(tmp_path / "s", max_entries=2)
         store.store(("a",), {"v": 1})
         store.store(("b",), {"v": 2})
         store.path_for(("a",)).unlink()

@@ -1,12 +1,7 @@
 """Disk store contract: persistence, sharing, bounding, resilience.
 
-The whole suite runs against both implementations of the
-:class:`repro.pipeline.StageStore` protocol — the mtime-LRU
-:class:`DiskArtifactCache` and the SQLite-indexed
-:class:`IndexedArtifactStore` (which shares the file layout but keeps
-recency/size in an index).  Implementation-specific behaviors live in
-their own tests (``test_large_stores_evict_in_batches`` here,
-``test_index.py`` for the index).
+Behaviors specific to the store's SQLite index (exact eviction, gc,
+concurrent writers, index-less trees) live in ``test_index.py``.
 """
 
 import pickle
@@ -18,7 +13,6 @@ from repro.circuits import build
 from repro.pipeline import (
     DiskArtifactCache,
     FlowConfig,
-    IndexedArtifactStore,
     Pipeline,
     StageStore,
     graph_fingerprint,
@@ -26,23 +20,12 @@ from repro.pipeline import (
 
 CACHEABLE = ("analyze", "power_manage", "schedule", "allocate", "elaborate")
 
-STORE_CLASSES = {
-    "disk": DiskArtifactCache,
-    "indexed": IndexedArtifactStore,
-}
-
-
-@pytest.fixture(params=sorted(STORE_CLASSES))
-def store_cls(request):
-    return STORE_CLASSES[request.param]
-
-
 @pytest.fixture
-def store(store_cls, tmp_path):
-    return store_cls(tmp_path / "store")
+def store(tmp_path):
+    return DiskArtifactCache(tmp_path / "store")
 
 
-def test_both_implement_the_protocol(store):
+def test_implements_the_protocol(store):
     assert isinstance(store, StageStore)
 
 
@@ -77,26 +60,26 @@ class TestContract:
         assert store.stats.lookups == 0
         assert store.lookup(("a",)) is None
 
-    def test_bad_max_entries_rejected(self, store_cls, tmp_path):
+    def test_bad_max_entries_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="max_entries"):
-            store_cls(tmp_path, max_entries=0)
+            DiskArtifactCache(tmp_path, max_entries=0)
 
 
 class TestPersistence:
-    def test_survives_reopening(self, store_cls, tmp_path):
-        first = store_cls(tmp_path / "s")
+    def test_survives_reopening(self, tmp_path):
+        first = DiskArtifactCache(tmp_path / "s")
         first.store(("k",), {"v": 41})
-        second = store_cls(tmp_path / "s")
+        second = DiskArtifactCache(tmp_path / "s")
         assert second.lookup(("k",)) == {"v": 41}
         assert second.stats.hits == 1
 
-    def test_pipeline_runs_warm_across_store_instances(self, store_cls,
-                                                       tmp_path, gcd_graph):
-        cold = Pipeline(cache=store_cls(tmp_path / "s"))
+    def test_pipeline_runs_warm_across_store_instances(self, tmp_path,
+                                                       gcd_graph):
+        cold = Pipeline(cache=DiskArtifactCache(tmp_path / "s"))
         first = cold.run_context(gcd_graph, FlowConfig(n_steps=7))
         assert first.cache_misses == list(CACHEABLE)
 
-        warm = Pipeline(cache=store_cls(tmp_path / "s"))
+        warm = Pipeline(cache=DiskArtifactCache(tmp_path / "s"))
         second = warm.run_context(gcd_graph, FlowConfig(n_steps=7))
         assert second.cache_hits == list(CACHEABLE)
         assert second.cache_misses == []
@@ -120,10 +103,9 @@ class TestPersistence:
             warm_s = min(warm_s, time.perf_counter() - start)
         assert warm_s < cold_s
 
-    def test_content_addressing_spans_equal_graphs(self, store_cls,
-                                                   tmp_path):
+    def test_content_addressing_spans_equal_graphs(self, tmp_path):
         """Two independently built but identical graphs share entries."""
-        store = store_cls(tmp_path / "s")
+        store = DiskArtifactCache(tmp_path / "s")
         Pipeline(cache=store).run(build("gcd"), FlowConfig(n_steps=7))
         ctx = Pipeline(cache=store).run_context(build("gcd"),
                                                 FlowConfig(n_steps=7))
@@ -163,64 +145,26 @@ class TestResilience:
 
 
 class TestBounding:
-    def test_lru_prunes_oldest_entries(self, store_cls, tmp_path):
-        store = store_cls(tmp_path / "s", max_entries=3)
-        now = time.time()
-        for k in range(3):
+    def test_lru_evicts_the_oldest_entry(self, tmp_path):
+        store = DiskArtifactCache(tmp_path / "s", max_entries=3)
+        for k in range(4):
             store.store((f"k{k}",), {"v": k})
-            # Deterministic mtime order without sleeping.
-            import os
-
-            os.utime(store.path_for((f"k{k}",)),
-                     (now + k, now + k))
-        store.store(("k3",), {"v": 3})
         assert len(store) == 3
         assert store.stats.evictions == 1
         assert ("k0",) not in store  # oldest went
         assert all((f"k{k}",) in store for k in (1, 2, 3))
 
-    def test_lookup_refreshes_recency(self, store_cls, tmp_path):
-        import os
-
-        store = store_cls(tmp_path / "s", max_entries=2)
-        now = time.time()
+    def test_lookup_refreshes_recency(self, tmp_path):
+        store = DiskArtifactCache(tmp_path / "s", max_entries=2)
         store.store(("a",), {"v": 1})
         store.store(("b",), {"v": 2})
-        os.utime(store.path_for(("a",)), (now - 100, now - 100))
-        os.utime(store.path_for(("b",)), (now - 50, now - 50))
-        assert store.lookup(("a",)) is not None  # touch refreshes mtime
+        assert store.lookup(("a",)) is not None  # a is now the newest
         store.store(("c",), {"v": 3})
         assert ("a",) in store
         assert ("b",) not in store
 
-    def test_large_stores_evict_in_batches(self, tmp_path):
-        """Past the bound, big caches prune a batch at once so the
-        O(entries) tree scan amortizes instead of running per store.
-
-        DiskArtifactCache-specific: the indexed store evicts exactly
-        (O(1) per store), covered in ``test_index.py``."""
-        import os
-
-        store = DiskArtifactCache(tmp_path / "s", max_entries=32)
-        now = time.time()
-        for k in range(32):
-            store.store((f"k{k}",), {"v": k})
-            # Back-date: k0 oldest ... k31 newest, all before "now".
-            stamp = now - (64 - k)
-            os.utime(store.path_for((f"k{k}",)), (stamp, stamp))
-        store.store(("k32",), {"v": 32})
-        # target = 32 - (32 // 16 - 1) = 31: the two oldest went at once.
-        assert len(store) == 31
-        assert store.stats.evictions == 2
-        assert ("k0",) not in store and ("k1",) not in store
-        assert ("k2",) in store and ("k32",) in store
-        # No further prune until the bound is exceeded again.
-        store.store(("k33",), {"v": 33})
-        assert len(store) == 32 and store.stats.evictions == 2
-
-    def test_restore_of_existing_key_does_not_grow(self, store_cls,
-                                                   tmp_path):
-        store = store_cls(tmp_path / "s", max_entries=2)
+    def test_restore_of_existing_key_does_not_grow(self, tmp_path):
+        store = DiskArtifactCache(tmp_path / "s", max_entries=2)
         for _ in range(5):
             store.store(("same",), {"v": 1})
         assert len(store) == 1

@@ -1,23 +1,42 @@
-"""Job state machine, content keys, event feed, registry journal."""
+"""Job state machine, content keys, submission dedup, event feed.
+
+Jobs are created the way a server creates them: a :class:`LeaseStore`
+submission (the durable queue row) adopted into the server's local
+:class:`JobRegistry`.
+"""
 
 import pytest
 
-from repro.opt.journal import load_journal
 from repro.serve.jobs import (
     MAX_EVENTS,
-    Job,
     JobError,
     JobRegistry,
     JobState,
     JobStateError,
-    UnknownJobError,
+    LeaseStore,
     job_content_key,
 )
 
 
 @pytest.fixture
-def registry(tmp_path):
-    return JobRegistry(tmp_path / "jobs.jsonl")
+def queue(tmp_path):
+    store = LeaseStore(tmp_path / "queue.sqlite", lease_s=10.0)
+    yield store
+    store.close()
+
+
+@pytest.fixture
+def registry():
+    return JobRegistry()
+
+
+@pytest.fixture
+def new_job(queue, registry):
+    """Submit ``PARAMS`` to the queue and adopt the row locally."""
+    def make():
+        row, _ = queue.submit("explore", PARAMS)
+        return registry.adopt(row)
+    return make
 
 
 PARAMS = {"circuits": ["gcd"], "budgets": [6, 7]}
@@ -41,9 +60,9 @@ class TestContentKey:
 
 
 class TestStateMachine:
-    def test_happy_path(self, registry):
-        job, created = registry.submit("explore", PARAMS)
-        assert created and job.state is JobState.QUEUED
+    def test_happy_path(self, registry, new_job):
+        job = new_job()
+        assert job.state is JobState.QUEUED
         registry.transition(job, JobState.RUNNING)
         registry.transition(job, JobState.DONE, result={"points": 4})
         assert job.state.terminal
@@ -51,66 +70,70 @@ class TestStateMachine:
 
     @pytest.mark.parametrize("terminal", [JobState.DONE, JobState.FAILED,
                                           JobState.CANCELLED])
-    def test_terminal_states_are_final(self, registry, terminal):
-        job, _ = registry.submit("explore", PARAMS)
+    def test_terminal_states_are_final(self, registry, new_job, terminal):
+        job = new_job()
         registry.transition(job, JobState.RUNNING)
         registry.transition(job, terminal)
         for to in JobState:
             with pytest.raises(JobStateError):
                 registry.transition(job, to)
 
-    def test_queued_cannot_jump_to_done(self, registry):
-        job, _ = registry.submit("explore", PARAMS)
+    def test_queued_cannot_jump_to_done(self, registry, new_job):
+        job = new_job()
         with pytest.raises(JobStateError):
             registry.transition(job, JobState.DONE)
 
-    def test_failed_records_the_error(self, registry):
-        job, _ = registry.submit("explore", PARAMS)
+    def test_failed_records_the_error(self, registry, new_job):
+        job = new_job()
         registry.transition(job, JobState.RUNNING)
         registry.transition(job, JobState.FAILED, error="boom")
         assert job.error == "boom"
         assert job.snapshot()["error"] == "boom"
 
-    def test_unknown_kind_rejected(self, registry):
-        with pytest.raises(JobError, match="unknown job kind"):
-            registry.submit("frobnicate", PARAMS)
-
-    def test_unknown_job_id(self, registry):
-        with pytest.raises(UnknownJobError):
-            registry.get("j-999-deadbeef")
+    def test_unknown_job_id_is_not_found(self, registry):
+        # Over HTTP this is the server's 404 (test_server.py).
+        assert registry.find("j-999-deadbeef") is None
 
 
-class TestDedup:
-    def test_identical_inflight_submissions_share_one_job(self, registry):
-        first, created = registry.submit("explore", PARAMS)
-        second, again = registry.submit("explore", dict(PARAMS))
+class TestSubmission:
+    def test_identical_inflight_submissions_share_one_job(self, queue):
+        first, created = queue.submit("explore", PARAMS)
+        second, again = queue.submit("explore", dict(PARAMS))
         assert created and not again
-        assert first is second
+        assert first.id == second.id
 
-    def test_terminal_job_does_not_absorb_resubmission(self, registry):
-        first, _ = registry.submit("explore", PARAMS)
-        registry.transition(first, JobState.RUNNING)
-        registry.transition(first, JobState.DONE)
-        second, created = registry.submit("explore", PARAMS)
-        assert created and second is not first
+    def test_terminal_job_does_not_absorb_resubmission(self, queue):
+        first, _ = queue.submit("explore", PARAMS)
+        queue.claim("a")
+        assert queue.finish(first.id, "a", JobState.DONE)
+        second, created = queue.submit("explore", PARAMS)
+        assert created and second.id != first.id
         assert second.key == first.key  # same journal -> warm rerun
+
+    def test_unknown_kind_rejected(self, queue):
+        with pytest.raises(JobError, match="unknown job kind"):
+            queue.submit("frobnicate", PARAMS)
+
+    def test_non_object_params_rejected(self, queue):
+        with pytest.raises(JobError, match="params must be an object"):
+            queue.submit("explore", ["gcd"])
 
 
 class TestCancel:
-    def test_queued_cancel_is_immediate(self, registry):
-        job, _ = registry.submit("explore", PARAMS)
+    def test_queued_cancel_is_immediate(self, registry, new_job):
+        job = new_job()
         assert registry.request_cancel(job) is True
         assert job.state is JobState.CANCELLED
 
-    def test_running_cancel_is_cooperative(self, registry):
-        job, _ = registry.submit("explore", PARAMS)
+    def test_running_cancel_is_cooperative(self, registry, new_job):
+        job = new_job()
         registry.transition(job, JobState.RUNNING)
         assert registry.request_cancel(job) is False
         assert job.cancel_requested
         assert job.state is JobState.RUNNING
 
-    def test_terminal_cancel_is_a_noop(self, registry):
-        job, _ = registry.submit("explore", PARAMS)
+    def test_terminal_cancel_is_a_noop(self, registry, new_job):
+        job = new_job()
         registry.transition(job, JobState.RUNNING)
         registry.transition(job, JobState.DONE)
         assert registry.request_cancel(job) is False
@@ -118,8 +141,8 @@ class TestCancel:
 
 
 class TestEventFeed:
-    def test_seq_is_monotonic_and_filterable(self, registry):
-        job, _ = registry.submit("explore", PARAMS)
+    def test_seq_is_monotonic_and_filterable(self, registry, new_job):
+        job = new_job()
         for k in range(5):
             registry.push(job, {"type": "point", "k": k})
         snapshot = job.snapshot(since=3)
@@ -127,69 +150,10 @@ class TestEventFeed:
         assert job.snapshot()["last_seq"] == 5
         assert "events" not in job.snapshot()  # no since -> no feed
 
-    def test_feed_is_bounded(self, registry):
-        job, _ = registry.submit("explore", PARAMS)
+    def test_feed_is_bounded(self, registry, new_job):
+        job = new_job()
         for k in range(MAX_EVENTS + 10):
             registry.push(job, {"type": "point", "k": k})
         assert len(job.events) == MAX_EVENTS
         assert job.events_dropped == 10
         assert job.last_seq == MAX_EVENTS + 10  # seq never rewinds
-
-
-class TestRegistryJournal:
-    def test_restart_restores_jobs_and_ids(self, tmp_path):
-        first = JobRegistry(tmp_path / "jobs.jsonl")
-        done, _ = first.submit("explore", PARAMS)
-        first.transition(done, JobState.RUNNING)
-        first.transition(done, JobState.DONE, result={"points": 2})
-        interrupted, _ = first.submit("optimize",
-                                      {"circuit": "gcd", "budgets": [6]})
-        first.transition(interrupted, JobState.RUNNING)
-        first.close()  # process dies here
-
-        second = JobRegistry(tmp_path / "jobs.jsonl")
-        restored = {job.id: job for job in second.jobs()}
-        assert restored[done.id].state is JobState.DONE
-        assert restored[done.id].result == {"points": 2}
-        assert restored[interrupted.id].state is JobState.RUNNING
-
-        revived = second.recoverable()
-        assert [job.id for job in revived] == [interrupted.id]
-        assert revived[0].state is JobState.QUEUED
-
-        # New ids never collide with restored ones.
-        fresh, _ = second.submit("explore", {"circuits": ["vender"],
-                                             "budgets": [6]})
-        assert fresh.id not in restored
-
-    def test_compact_then_append_survives_restart(self, tmp_path):
-        registry = JobRegistry(tmp_path / "jobs.jsonl")
-        job, _ = registry.submit("explore", PARAMS)
-        registry.transition(job, JobState.RUNNING)
-        outcome = registry.compact()  # handle cycled around the replace
-        assert outcome.kept == 1
-        registry.transition(job, JobState.DONE)  # append post-compaction
-        registry.close()
-        reloaded = JobRegistry(tmp_path / "jobs.jsonl")
-        assert reloaded.get(job.id).state is JobState.DONE
-
-    def test_memory_only_registry_works(self):
-        registry = JobRegistry()  # no journal path
-        job, _ = registry.submit("explore", PARAMS)
-        registry.transition(job, JobState.RUNNING)
-        assert registry.compact() is None
-
-    def test_garbage_record_is_skipped(self, tmp_path):
-        path = tmp_path / "jobs.jsonl"
-        path.write_text('{"format": 1, "kind": "serve-jobs"}\n'
-                        '{"key": "j-x", "not-a-job": true}\n')
-        registry = JobRegistry(path)
-        assert registry.jobs() == []
-
-    def test_journal_is_the_shared_format(self, tmp_path):
-        registry = JobRegistry(tmp_path / "jobs.jsonl")
-        job, _ = registry.submit("explore", PARAMS)
-        registry.close()
-        records = load_journal(tmp_path / "jobs.jsonl")
-        assert records[job.id]["state"] == "queued"
-        assert records[job.id]["jkey"] == job.key

@@ -130,6 +130,35 @@ class TestAPI:
         assert report["store"]["dropped"] == 0  # index and tree agree
 
 
+class TestStoreStats:
+    def test_stats_count_the_pool_workers_store_lookups(self, tmp_path):
+        """Store lookups happen in pool workers, each with its own copy
+        of the store; /stats must still report them."""
+        handle = start_in_thread(tmp_path / "state", workers=1)
+        client = ServeClient(port=handle.port)
+        try:
+            cold = client.wait(client.submit(
+                "explore", circuits=["gcd"], budgets=[6],
+                label="cold")["id"], timeout=120)
+            # A new label is a new job (no journal to resume from) over
+            # the same stage keys: every stage is a store hit.
+            warm = client.wait(client.submit(
+                "explore", circuits=["gcd"], budgets=[6],
+                label="warm")["id"], timeout=120)
+            assert warm["resumed"] == 0
+            assert warm["result"]["store_hits"] > 0
+            store = client.stats()["store"]
+            assert store["hits"] > 0
+            assert store["hits"] == (cold["result"]["store_hits"]
+                                     + warm["result"]["store_hits"])
+            assert store["misses"] == (cold["result"]["store_misses"]
+                                       + warm["result"]["store_misses"])
+            assert store["entries"] > 0
+        finally:
+            client.close()
+            handle.stop()
+
+
 class TestConcurrentClients:
     def test_many_clients_one_server(self, tmp_path):
         handle = start_in_thread(tmp_path / "state", workers=2)
