@@ -197,9 +197,6 @@ class DiskArtifactCache:
         row exists yet (an entry written before the index existed)."""
         self._db().execute(_TOUCH, (digest, size))
 
-    def _drop_row(self, digest: str) -> None:
-        self._db().execute("DELETE FROM entries WHERE digest=?", (digest,))
-
     # -- ArtifactCache contract ------------------------------------------
 
     def lookup(self, key: CacheKey) -> dict[str, object] | None:
@@ -219,7 +216,8 @@ class DiskArtifactCache:
         if artifacts is None:
             # Keep the index agreeing with the tree so len() and
             # eviction stay exact.
-            self._drop_row(digest)
+            self._db().execute("DELETE FROM entries WHERE digest=?",
+                               (digest,))
             self.stats.misses += 1
             return None
         self._touch_row(digest, size)
@@ -248,14 +246,7 @@ class DiskArtifactCache:
         self._evict_lru(protect=digest)
 
     def clear(self) -> None:
-        conn = self._db()
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            conn.execute("DELETE FROM entries")
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
+        self._db().execute("DELETE FROM entries")
         for path in self._entries():
             self._unlink(path)
         self.stats = CacheStats()
