@@ -45,6 +45,7 @@ import os
 import pickle
 import sqlite3
 import tempfile
+import time
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
@@ -93,7 +94,19 @@ def wal_connect(path: "str | os.PathLike", *, timeout: float = 30.0,
     """
     conn = sqlite3.connect(path, timeout=timeout, isolation_level=None,
                            check_same_thread=check_same_thread)
-    conn.execute("PRAGMA journal_mode=WAL")
+    # Switching a new file to WAL takes an exclusive lock, and SQLite
+    # reports a racing opener (two pool workers opening a fresh store)
+    # as locked at once instead of waiting in the busy handler.
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            break
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() > deadline:
+                conn.close()
+                raise
+            time.sleep(0.01)
     conn.execute("PRAGMA synchronous=NORMAL")
     conn.execute("PRAGMA busy_timeout={}".format(int(timeout * 1000)))
     return conn

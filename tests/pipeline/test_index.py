@@ -9,6 +9,7 @@ import concurrent.futures
 import hashlib
 import pickle
 import sqlite3
+import threading
 from pathlib import Path
 
 import pytest
@@ -217,6 +218,29 @@ class TestConcurrency:
         # 160 stores into 16 slots -> 144 evictions, no double counts.
         assert sum(evictions) == 144
         assert fresh.gc()["dropped"] == 0  # index and tree agree
+
+    def test_first_open_waits_out_a_racing_opener(self, tmp_path):
+        """Pool workers sharing a fresh store race to switch its index to
+        WAL, which needs an exclusive lock; the loser waits for it
+        instead of failing its job with "database is locked"."""
+        root = tmp_path / "s"
+        root.mkdir()
+        holder = sqlite3.connect(root / INDEX_NAME, isolation_level=None,
+                                 check_same_thread=False)
+        holder.execute("BEGIN IMMEDIATE")
+        holder.execute("CREATE TABLE racing (x)")
+        release = threading.Timer(0.2, holder.execute, ("COMMIT",))
+        release.start()
+        store = DiskArtifactCache(root)
+        try:
+            assert store.lookup(("k",)) is None
+            store.store(("k",), {"v": 1})
+            assert store.lookup(("k",)) == {"v": 1}
+            assert len(store) == 1
+        finally:
+            release.join()
+            holder.close()
+            store.close()
 
     def test_eviction_tolerates_prestolen_files(self, tmp_path):
         # Simulate a racing evictor having already unlinked the victim.

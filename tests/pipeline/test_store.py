@@ -1,6 +1,8 @@
 """Disk store contract: persistence, sharing, bounding, resilience.
 
-Behaviors specific to the store's SQLite index (exact eviction, gc,
+The contract runs against a store as its creator holds it (``local``)
+and as a pool worker receives it (``shipped``: pickled and unpickled,
+so it reopens the index in its own connection).  Behaviors specific to the store's SQLite index (exact eviction, gc,
 concurrent writers, index-less trees) live in ``test_index.py``.
 """
 
@@ -20,9 +22,23 @@ from repro.pipeline import (
 
 CACHEABLE = ("analyze", "power_manage", "schedule", "allocate", "elaborate")
 
+
+def _shipped(*args, **kwargs):
+    """The copy of a new store that a pool worker gets."""
+    return pickle.loads(pickle.dumps(DiskArtifactCache(*args, **kwargs)))
+
+
+OPENERS = {"local": DiskArtifactCache, "shipped": _shipped}
+
+
+@pytest.fixture(params=sorted(OPENERS))
+def open_store(request):
+    return OPENERS[request.param]
+
+
 @pytest.fixture
-def store(tmp_path):
-    return DiskArtifactCache(tmp_path / "store")
+def store(open_store, tmp_path):
+    return open_store(tmp_path / "store")
 
 
 def test_implements_the_protocol(store):
@@ -60,26 +76,26 @@ class TestContract:
         assert store.stats.lookups == 0
         assert store.lookup(("a",)) is None
 
-    def test_bad_max_entries_rejected(self, tmp_path):
+    def test_bad_max_entries_rejected(self, open_store, tmp_path):
         with pytest.raises(ValueError, match="max_entries"):
-            DiskArtifactCache(tmp_path, max_entries=0)
+            open_store(tmp_path, max_entries=0)
 
 
 class TestPersistence:
-    def test_survives_reopening(self, tmp_path):
-        first = DiskArtifactCache(tmp_path / "s")
+    def test_survives_reopening(self, open_store, tmp_path):
+        first = open_store(tmp_path / "s")
         first.store(("k",), {"v": 41})
-        second = DiskArtifactCache(tmp_path / "s")
+        second = open_store(tmp_path / "s")
         assert second.lookup(("k",)) == {"v": 41}
         assert second.stats.hits == 1
 
-    def test_pipeline_runs_warm_across_store_instances(self, tmp_path,
-                                                       gcd_graph):
-        cold = Pipeline(cache=DiskArtifactCache(tmp_path / "s"))
+    def test_pipeline_runs_warm_across_store_instances(self, open_store,
+                                                       tmp_path, gcd_graph):
+        cold = Pipeline(cache=open_store(tmp_path / "s"))
         first = cold.run_context(gcd_graph, FlowConfig(n_steps=7))
         assert first.cache_misses == list(CACHEABLE)
 
-        warm = Pipeline(cache=DiskArtifactCache(tmp_path / "s"))
+        warm = Pipeline(cache=open_store(tmp_path / "s"))
         second = warm.run_context(gcd_graph, FlowConfig(n_steps=7))
         assert second.cache_hits == list(CACHEABLE)
         assert second.cache_misses == []
@@ -103,9 +119,10 @@ class TestPersistence:
             warm_s = min(warm_s, time.perf_counter() - start)
         assert warm_s < cold_s
 
-    def test_content_addressing_spans_equal_graphs(self, tmp_path):
+    def test_content_addressing_spans_equal_graphs(self, open_store,
+                                                   tmp_path):
         """Two independently built but identical graphs share entries."""
-        store = DiskArtifactCache(tmp_path / "s")
+        store = open_store(tmp_path / "s")
         Pipeline(cache=store).run(build("gcd"), FlowConfig(n_steps=7))
         ctx = Pipeline(cache=store).run_context(build("gcd"),
                                                 FlowConfig(n_steps=7))
@@ -145,8 +162,8 @@ class TestResilience:
 
 
 class TestBounding:
-    def test_lru_evicts_the_oldest_entry(self, tmp_path):
-        store = DiskArtifactCache(tmp_path / "s", max_entries=3)
+    def test_lru_evicts_the_oldest_entry(self, open_store, tmp_path):
+        store = open_store(tmp_path / "s", max_entries=3)
         for k in range(4):
             store.store((f"k{k}",), {"v": k})
         assert len(store) == 3
@@ -154,8 +171,8 @@ class TestBounding:
         assert ("k0",) not in store  # oldest went
         assert all((f"k{k}",) in store for k in (1, 2, 3))
 
-    def test_lookup_refreshes_recency(self, tmp_path):
-        store = DiskArtifactCache(tmp_path / "s", max_entries=2)
+    def test_lookup_refreshes_recency(self, open_store, tmp_path):
+        store = open_store(tmp_path / "s", max_entries=2)
         store.store(("a",), {"v": 1})
         store.store(("b",), {"v": 2})
         assert store.lookup(("a",)) is not None  # a is now the newest
@@ -163,8 +180,9 @@ class TestBounding:
         assert ("a",) in store
         assert ("b",) not in store
 
-    def test_restore_of_existing_key_does_not_grow(self, tmp_path):
-        store = DiskArtifactCache(tmp_path / "s", max_entries=2)
+    def test_restore_of_existing_key_does_not_grow(self, open_store,
+                                                   tmp_path):
+        store = open_store(tmp_path / "s", max_entries=2)
         for _ in range(5):
             store.store(("same",), {"v": 1})
         assert len(store) == 1

@@ -5,6 +5,9 @@ submission (the durable queue row) adopted into the server's local
 :class:`JobRegistry`.
 """
 
+import sqlite3
+import threading
+
 import pytest
 
 from repro.serve.jobs import (
@@ -117,6 +120,62 @@ class TestSubmission:
     def test_non_object_params_rejected(self, queue):
         with pytest.raises(JobError, match="params must be an object"):
             queue.submit("explore", ["gcd"])
+
+
+class TestQueueDurability:
+    """``queue.sqlite`` is the durable job record a restart reads back."""
+
+    def test_restart_restores_jobs_and_ids(self, tmp_path):
+        path = tmp_path / "queue.sqlite"
+        first = LeaseStore(path, lease_s=10.0)
+        done, _ = first.submit("explore", PARAMS)
+        first.claim("a", now=100.0)
+        assert first.finish(done.id, "a", JobState.DONE,
+                            result={"points": 2})
+        interrupted, _ = first.submit("optimize",
+                                      {"circuit": "gcd", "budgets": [6]})
+        first.claim("a", now=100.0)
+        first.close()  # server "a" dies here, still holding the lease
+
+        second = LeaseStore(path, lease_s=10.0)
+        try:
+            restored = {row.id: row for row in second.jobs()}
+            assert restored[done.id].state == "done"
+            assert restored[done.id].result == {"points": 2}
+            assert restored[interrupted.id].state == "running"
+
+            # Once the dead server's lease expires, the job is re-claimed.
+            revived = second.claim("b", now=200.0)
+            assert revived.id == interrupted.id
+            job = JobRegistry().adopt(revived)
+            assert job.state is JobState.QUEUED
+
+            # New ids never collide with restored ones.
+            fresh, created = second.submit(
+                "explore", {"circuits": ["vender"], "budgets": [6]})
+            assert created and fresh.id not in restored
+        finally:
+            second.close()
+
+    def test_opening_waits_out_a_racing_opener(self, tmp_path):
+        """Switching a new file to WAL needs an exclusive lock; a queue
+        opened while another connection holds the file waits for it
+        instead of failing with "database is locked"."""
+        path = tmp_path / "queue.sqlite"
+        holder = sqlite3.connect(path, isolation_level=None,
+                                 check_same_thread=False)
+        holder.execute("BEGIN IMMEDIATE")
+        holder.execute("CREATE TABLE racing (x)")
+        release = threading.Timer(0.2, holder.execute, ("COMMIT",))
+        release.start()
+        queue = LeaseStore(path)
+        try:
+            row, created = queue.submit("explore", PARAMS)
+            assert created and queue.get(row.id).state == "queued"
+        finally:
+            release.join()
+            holder.close()
+            queue.close()
 
 
 class TestCancel:
