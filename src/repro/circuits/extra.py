@@ -18,11 +18,6 @@
   fall back to its hybrid scalar-slot micro-loop.  Kept as a named
   circuit so the regression is deterministic instead of
   generator-dependent.
-
-* :func:`logic_mixer` — a wide pure-logic benchmark (AND/OR/XOR/NOT/MUX
-  only, no arithmetic).  Every operation is a single word-parallel
-  instruction for the bit-packed backend, which is where packing shows
-  its largest win over the one-column-per-vector array backend.
 """
 
 from __future__ import annotations
@@ -147,42 +142,4 @@ def gated_recurrence() -> CDFG:
     # The generator emitted this guard explicitly; without it the PM pass
     # has no shut-down cone and the recurrence never forms.
     b.graph.add_control_edge(one.nid, v1.nid)
-    return b.build()
-
-
-def logic_mixer(n_stages: int = 12, width: int = 4) -> CDFG:
-    """Pure-logic benchmark: ``width`` lanes stirred by logic-only stages.
-
-    Each stage rotates the lanes through AND/OR/XOR/NOT and a MUX whose
-    select is the previous stage's parity, so activity stays high and no
-    stage folds away.  Contains no arithmetic or comparison nodes: every
-    operation maps to one machine-word instruction per 64 Monte-Carlo
-    vectors under the bit-packed backend.
-    """
-    if n_stages < 1 or width < 2:
-        raise ValueError("logic_mixer needs n_stages >= 1 and width >= 2")
-    b = GraphBuilder(f"logic_mixer{n_stages}x{width}")
-    lanes = [b.input(f"x{i}") for i in range(width)]
-    parity = b.xor(lanes[0], lanes[1], name="seed")
-    for s in range(n_stages):
-        nxt = []
-        for i in range(width):
-            a, c = lanes[i], lanes[(i + 1) % width]
-            if i % 4 == 0:
-                v = b.and_(a, c, name=f"s{s}a{i}")
-            elif i % 4 == 1:
-                v = b.or_(a, c, name=f"s{s}o{i}")
-            elif i % 4 == 2:
-                v = b.xor(a, c, name=f"s{s}x{i}")
-            else:
-                v = b.not_(b.xor(a, c, name=f"s{s}t{i}"), name=f"s{s}n{i}")
-            nxt.append(v)
-        # Cross-lane mux keyed on the running parity keeps the stages from
-        # collapsing into independent per-lane chains.
-        nxt[0] = b.mux(parity, nxt[0], nxt[-1], name=f"s{s}m")
-        parity = b.xor(parity, nxt[0], name=f"s{s}p")
-        lanes = nxt
-    for i, lane in enumerate(lanes):
-        b.output(lane, f"y{i}")
-    b.output(parity, "parity")
     return b.build()

@@ -59,8 +59,8 @@ class SimulatedPower:
     """Average energy per processed sample, by component.
 
     ``chosen_backend`` records which simulation engine actually produced
-    the numbers (``"compiled"``, ``"vectorized"`` or ``"packed"`` —
-    ``auto`` and ``packed`` requests may resolve differently).  It is
+    the numbers (``"compiled"`` or ``"vectorized"`` — ``auto``
+    requests may resolve to either).  It is
     observability metadata, excluded from equality: reports from
     different backends at the same seed stay equal, which is exactly the
     bit-identity guarantee the parity tests pin down."""
@@ -143,8 +143,8 @@ def _power_from_activity(activity: ActivityCounter, samples: int,
 def _run_block(engine, block) -> object:
     """Run one vector block on ``engine`` the fastest way it supports.
 
-    Lists of vector dicts go to the vectorized backend as a pre-packed
-    input matrix; ``(batch, n_inputs)`` arrays go to the compiled
+    Lists of vector dicts go to the vectorized backend as one input
+    matrix; ``(batch, n_inputs)`` arrays go to the compiled
     backend as reconstructed dicts (slow path, for API symmetry).
     """
     run_array = getattr(engine, "run_array", None)

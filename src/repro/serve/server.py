@@ -79,6 +79,7 @@ from repro.serve.jobs import (
     UnknownJobError,
 )
 from repro.serve.work import read_progress, run_optimize_job
+from repro.sim import BACKENDS
 
 SERVER_NAME = "repro-serve/2"
 
@@ -1050,6 +1051,10 @@ def _validate_params(kind, params) -> str | None:
             return "params.circuit must name a circuit (or pass params.graph)"
         if not (isinstance(budgets, list) and budgets):
             return "params.budgets must be a non-empty list"
+    backend = params.get("sim_backend", "auto")
+    if backend not in BACKENDS:
+        return (f"params.sim_backend must be one of {', '.join(BACKENDS)}, "
+                f"got {backend!r}")
     return None
 
 

@@ -1,7 +1,7 @@
 """Cycle-accurate RTL simulation with switching-activity accounting."""
 
-from repro.sim.activity import ActivityCounter, hamming, packed_toggles
-from repro.sim.backend import BACKENDS, create_engine, numpy_available
+from repro.sim.activity import ActivityCounter, hamming
+from repro.sim.backend import BACKENDS, create_engine
 from repro.sim.engine import (
     BatchResult,
     CompiledEngine,
@@ -14,6 +14,12 @@ from repro.sim.engine import (
 )
 from repro.sim.reference import evaluate, evaluate_all
 from repro.sim.simulator import RTLSimulator, SampleResult
+from repro.sim.vectorized import (
+    ArrayBatchResult,
+    VectorizationError,
+    VectorizedEngine,
+    generate_vector_source,
+)
 from repro.sim.vectors import (
     array_exhaustive_vectors,
     array_random_vectors,
@@ -34,12 +40,15 @@ from repro.sim.workloads import (
 
 __all__ = [
     "ActivityCounter",
+    "ArrayBatchResult",
     "BACKENDS",
     "BatchResult",
     "CompiledEngine",
     "ExecutionPlan",
     "RTLSimulator",
     "SampleResult",
+    "VectorizationError",
+    "VectorizedEngine",
     "array_balanced_condition_vectors",
     "array_exhaustive_vectors",
     "array_gcd_trace_vectors",
@@ -55,38 +64,12 @@ __all__ = [
     "exhaustive_vectors",
     "gcd_trace_vectors",
     "generate_source",
+    "generate_vector_source",
     "hamming",
     "input_names",
     "iter_balanced_condition_vectors",
     "iter_gcd_trace_vectors",
     "iter_random_vectors",
-    "numpy_available",
-    "packed_toggles",
     "random_vectors",
     "vectors_to_array",
 ]
-
-try:  # the vectorized backend needs numpy; everything above does not
-    from repro.sim.packed import (  # noqa: F401
-        PackedEngine,
-        PackingError,
-        generate_packed_source,
-    )
-    from repro.sim.vectorized import (  # noqa: F401
-        ArrayBatchResult,
-        VectorizationError,
-        VectorizedEngine,
-        generate_vector_source,
-    )
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    pass
-else:
-    __all__ += [
-        "ArrayBatchResult",
-        "PackedEngine",
-        "PackingError",
-        "VectorizationError",
-        "VectorizedEngine",
-        "generate_packed_source",
-        "generate_vector_source",
-    ]

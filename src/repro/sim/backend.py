@@ -1,28 +1,22 @@
 """Simulation backend selection.
 
-Three interchangeable, bit-identical batch engines exist:
+Two interchangeable, bit-identical batch engines exist:
 
 * ``"compiled"`` — :class:`~repro.sim.engine.CompiledEngine`, generated
-  straight-line Python executed per vector.  No dependencies; the
-  fallback everywhere.
+  straight-line Python executed per vector.  Accepts any width; the
+  fallback for designs too wide for the array engine.
 * ``"vectorized"`` — :class:`~repro.sim.vectorized.VectorizedEngine`,
   generated NumPy array programs executed per *block*, with a hybrid
   scalar micro-loop covering recurrent guarded state.  Total over valid
-  designs up to the int64 width headroom; needs ``numpy``.
-* ``"packed"`` — :class:`~repro.sim.packed.PackedEngine`, bit-sliced
-  word-parallel logic: 64 Monte Carlo vectors per machine word with
-  popcount activity reduction.  Fastest on pure-logic-dominated
-  circuits; recurrent designs transparently run hybrid-vectorized.
-* ``"auto"`` — vectorized when NumPy is importable and the design's
-  width fits the array backend's headroom, else compiled.  This is a
-  capability check, not a try/except: since the hybrid plan landed, no
-  valid design is refused by the vectorized backend, so nothing is
-  swallowed silently.
+  designs up to the int64 width headroom.
+* ``"auto"`` — vectorized when the design's width fits the array
+  engine's headroom (``VECTOR_WIDTH_LIMIT``), else compiled.  Since the
+  hybrid plan landed no valid design within that width is refused by
+  the vectorized engine, so nothing is swallowed silently.
 
 Every engine handed out carries a ``chosen_backend`` attribute naming
-the engine actually constructed (``auto`` and ``packed`` may resolve to
-a different engine than their argument); fallbacks are logged on the
-``repro.sim.backend`` logger.
+the engine actually constructed (``auto`` may resolve to either);
+the compiled fallback is logged on the ``repro.sim.backend`` logger.
 
 :func:`create_engine` is the single construction point the power
 estimator, the pipeline's verify stage and ``explore()`` go through.
@@ -34,23 +28,11 @@ import logging
 
 from repro.rtl.design import SynthesizedDesign
 from repro.sim.engine import CompiledEngine
+from repro.sim.vectorized import VECTOR_WIDTH_LIMIT, VectorizedEngine
 
-BACKENDS = ("compiled", "vectorized", "packed", "auto")
-
-# Widest design the vectorized backend accepts: intermediate products
-# need 2*width bits inside int64 plus sign headroom.
-VECTOR_WIDTH_LIMIT = 62
+BACKENDS = ("compiled", "vectorized", "auto")
 
 logger = logging.getLogger("repro.sim.backend")
-
-
-def numpy_available() -> bool:
-    """True when the vectorized backend's only dependency is importable."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - numpy is a declared dep
-        return False
-    return True
 
 
 def _tag(engine, chosen: str):
@@ -62,52 +44,22 @@ def create_engine(design: SynthesizedDesign, power_management: bool = True,
                   backend: str = "auto"):
     """Build the batch engine ``backend`` names for ``design``.
 
-    ``"auto"`` selects the vectorized backend whenever NumPy is
-    importable and the design's word width fits its numeric envelope,
-    else the compiled one — a decidable capability check with no
-    exception swallowing.  ``"packed"`` tries the bit-parallel engine
-    and drops to the hybrid vectorized engine (logged) for designs whose
-    recurrent state the packed kernels cannot close.  The returned
-    engine's ``chosen_backend`` attribute records the resolution.
+    ``"auto"`` selects the vectorized engine whenever the design's word
+    width fits its numeric envelope, else the compiled one.  The
+    returned engine's ``chosen_backend`` attribute records the
+    resolution.
     """
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown simulation backend {backend!r}; "
             f"choose one of {', '.join(BACKENDS)}")
-    if backend == "compiled":
-        return _tag(CompiledEngine(design, power_management=power_management),
-                    "compiled")
-    if backend == "vectorized":
-        from repro.sim.vectorized import VectorizedEngine
-
+    if backend == "vectorized" or (backend == "auto"
+                                   and design.width <= VECTOR_WIDTH_LIMIT):
         return _tag(VectorizedEngine(design,
                                      power_management=power_management),
                     "vectorized")
-    if backend == "packed":
-        from repro.sim.packed import PackedEngine, PackingError
-
-        try:
-            return _tag(PackedEngine(design,
-                                     power_management=power_management),
-                        "packed")
-        except PackingError as exc:
-            from repro.sim.vectorized import VectorizedEngine
-
-            logger.info("packed backend unavailable for %r (%s); "
-                        "running hybrid vectorized",
-                        design.graph.name, exc)
-            return _tag(VectorizedEngine(design,
-                                         power_management=power_management),
-                        "vectorized")
-    # auto: pure capability check — no VectorizationError to swallow
-    # since the hybrid plan made the vectorized backend total.
-    if numpy_available() and design.width <= VECTOR_WIDTH_LIMIT:
-        from repro.sim.vectorized import VectorizedEngine
-
-        return _tag(VectorizedEngine(design,
-                                     power_management=power_management),
-                    "vectorized")
-    logger.info("auto backend resolved to compiled for %r (width %d)",
-                design.graph.name, design.width)
+    if backend == "auto":
+        logger.info("auto backend resolved to compiled for %r (width %d)",
+                    design.graph.name, design.width)
     return _tag(CompiledEngine(design, power_management=power_management),
                 "compiled")

@@ -473,7 +473,7 @@ class _EngineBase:
     # Which backend name :func:`repro.sim.backend.create_engine` resolved
     # to when it built this engine; ``None`` for engines constructed
     # directly.  Surfaced on power results and explore points so ``auto``
-    # and ``packed`` resolutions are observable instead of silent.
+    # resolutions are observable instead of silent.
     chosen_backend: str | None = None
 
     def _init_state(self) -> None:

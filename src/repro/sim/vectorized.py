@@ -68,6 +68,11 @@ from repro.sim.engine import (
 )
 
 
+# Widest design the array backend accepts: intermediate products need
+# 2*width bits inside int64 plus sign headroom.
+VECTOR_WIDTH_LIMIT = 62
+
+
 class VectorizationError(Exception):
     """The plan exceeds the array backend's numeric envelope (width past
     the int64 headroom); use the compiled backend instead.  Recurrent
@@ -127,7 +132,10 @@ class _VectorCodegen:
         self.pm = power_management
         self.mask = (1 << plan.width) - 1
         self.sign = 1 << (plan.width - 1)
-        self._check_width()
+        if plan.width > VECTOR_WIDTH_LIMIT:
+            raise VectorizationError(
+                f"width {plan.width} exceeds the array backend's "
+                "int64 headroom; use backend='compiled'")
         # Smallest element type with full product headroom (2w bits).
         # Wrap-around ops are congruent mod 2**dtype_bits ⊇ mod 2**width
         # and every column is rewrapped into signed range immediately, so
@@ -155,72 +163,13 @@ class _VectorCodegen:
         self._serial = 0
         self._cse: dict[str, str] = {}      # expr -> existing SSA name
 
-    def _check_width(self) -> None:
-        if self.plan.width > 62:
-            raise VectorizationError(
-                f"width {self.plan.width} exceeds the array backend's "
-                "int64 headroom; use backend='compiled'")
-
-    # -- representation hooks -------------------------------------------
-    #
-    # Everything the symbolic pass knows about the column representation
-    # funnels through these small renderers, so the packed backend
-    # (:mod:`repro.sim.packed`) can reuse the whole structural pass —
-    # write folds, guard implication, closed-form state resolution, DCE,
-    # topo sort — by overriding only how a column is spelled.
-
-    def cond_expr(self, expr: str, value: int) -> str:
-        """Boolean mask column: ``expr`` nonzero (value=1) / zero (0)."""
-        return f"(({expr}) != 0)" if value else f"(({expr}) == 0)"
+    # -- column rendering ----------------------------------------------
 
     def where_expr(self, guard: str, then: str, other: str) -> str:
         return f"_np.where({guard}, {then}, {other})"
 
-    def count_true(self, guard: str) -> str:
-        return f"int({guard}.sum())"
-
-    def count_false(self, guard: str) -> str:
-        return f"int((~{guard}).sum())"
-
     def const_column(self, expr: str) -> str:
         return f"_np.full(_n, {expr}, dtype={self.dtype})"
-
-    def zero_column(self) -> str:
-        return f"_np.zeros(_n, dtype={self.dtype})"
-
-    def input_expr(self, k: int) -> str:
-        """Load + wrap input column ``k`` of the batch matrix."""
-        if self.narrow is not None:
-            return f"_m[:, {k}].astype({self.narrow}).astype({self.dtype})"
-        return (f"(((_m[:, {k}] & {self.mask}) ^ {self.sign}) - {self.sign})"
-                f".astype({self.dtype})")
-
-    def ffill_expr(self, value: str, mask: str,
-                   slot: str) -> tuple[str, tuple[str, ...]]:
-        """Masked-scan end column of an all-guarded slot."""
-        return (f"_ffill({value}, {mask}, {slot}__in, _ar1)",
-                (value, mask, "_ar1"))
-
-    def state_last(self, end: str) -> str:
-        """Scalar end-of-batch value of a column (last vector's lane)."""
-        return f"int(({end})[-1])"
-
-    def state_const_expr(self, slot: str) -> str:
-        """Column of a slot never written this pass (constant)."""
-        return f"_np.full(_n, {slot}__in, dtype={self.dtype})"
-
-    def state_shift_expr(self, slot: str, end: str) -> str:
-        """Shift-by-one start column: ``concat([carry], end[:-1])``."""
-        return (f"_np.concatenate((_np.asarray([{slot}__in], "
-                f"dtype={self.dtype}), ({end})[:-1]))")
-
-    def prelude_lines(self) -> list[str]:
-        """Extra setup lines after the state unpack."""
-        return []
-
-    def result_expr(self, name: str) -> str:
-        """Rendering of an output column in the return tuple."""
-        return name
 
     # -- statement plumbing ---------------------------------------------
 
@@ -432,14 +381,6 @@ class _VectorCodegen:
             return f"int(({expr} * {guard}).sum())", deps + (guard,)
         return f"int({expr}.sum())", deps
 
-    def counter_total(self, slot: str,
-                      contribs: list[str]) -> tuple[str, tuple[str, ...]]:
-        """Expression summing a counter's carried-in value with this
-        pass's contributions — a representation hook: a subclass whose
-        :meth:`popcount` emits deferred values rather than ints can
-        reduce them here in one pass."""
-        return " + ".join([f"{slot}__in"] + contribs), tuple(contribs)
-
     # -- pass symbolic execution ----------------------------------------
 
     def guard_mask(self, guard) -> tuple[str | None | bool, frozenset]:
@@ -461,9 +402,9 @@ class _VectorCodegen:
                     return False, frozenset()  # contradiction: never
                 continue  # term always true: fold away
             expr, sexpr, d = self.render_source(sp)
-            conds.append(self.cond_expr(expr, value))
-            sconds.append(f"(({sexpr}) != 0)" if value
-                          else f"(({sexpr}) == 0)")
+            test = "!=" if value else "=="
+            conds.append(f"(({expr}) {test} 0)")
+            sconds.append(f"(({sexpr}) {test} 0)")
             live.append((sp, 1 if value else 0))
             deps += d
         if not conds:
@@ -477,7 +418,12 @@ class _VectorCodegen:
 
         # Clock edge into state 0: input registers load (unconditional).
         for k, (_name, reg) in enumerate(plan.inputs):
-            col = self.stmt(f"in{k}", self.input_expr(k), ())
+            if self.narrow is not None:
+                load = f"_m[:, {k}].astype({self.narrow}).astype({self.dtype})"
+            else:
+                load = (f"(((_m[:, {k}] & {self.mask}) ^ {self.sign}) - "
+                        f"{self.sign}).astype({self.dtype})")
+            col = self.stmt(f"in{k}", load, ())
             slot = f"r{reg}"
             prev = self.read_slot(slot)
             self.contrib("_rt", *self.popcount(prev, col, None, (prev, col)))
@@ -499,7 +445,7 @@ class _VectorCodegen:
                     self.contrib(f"_id_{cls}", "_n")
                     continue
                 if g is not None:
-                    self.contrib(f"_id_{cls}", self.count_false(g), (g,))
+                    self.contrib(f"_id_{cls}", f"int((~{g}).sum())", (g,))
                 is_mux = start.resource is ResourceClass.MUX
                 select = start.sources[0] if is_mux else None
                 tvs = []
@@ -526,7 +472,8 @@ class _VectorCodegen:
                         tvs.append(t)
                     elif _contradictory(implied):
                         tvs.append(self.cse_stmt(
-                            "z", self.zero_column(), (), sexpr="0"))
+                            "z", f"_np.zeros(_n, dtype={self.dtype})", (),
+                            sexpr="0"))
                     else:
                         tvs.append(self.value_read(sp, implied))
                     # Latches are observation-only leaves: their fold can
@@ -558,7 +505,7 @@ class _VectorCodegen:
                                                           (prev, x)))
                 self.write_slot(fo, x, g, terms)
                 self.contrib(f"_aa_{cls}",
-                             "_n" if g is None else self.count_true(g),
+                             "_n" if g is None else f"int({g}.sum())",
                              () if g is None else (g,))
                 dest = f"r{end.dest_register}"
                 prev = self.read_slot(dest)
@@ -599,8 +546,9 @@ class _VectorCodegen:
         guards = [g for g, _t, _v in writes]
         mask = self.stmt(self.name("m"), " | ".join(guards), tuple(guards),
                          sexpr=" | ".join(guards), bool_=True)
-        expr, deps = self.ffill_expr(value, mask, slot)
-        end = self.stmt(f"E_{slot}", expr, deps,
+        end = self.stmt(f"E_{slot}",
+                        f"_ffill({value}, {mask}, {slot}__in, _ar1)",
+                        (value, mask, "_ar1"),
                         sexpr=f"({value} if {mask} else _cy_{slot})",
                         kind="ffill", slot=slot)
         self.end_of[slot] = end
@@ -616,22 +564,26 @@ class _VectorCodegen:
                 if not contribs:
                     state_out.append(f"{slot}__in")
                     continue
-                total, deps = self.counter_total(slot, contribs)
-                state_out.append(self.stmt(f"{slot}__out", total, deps))
+                total = " + ".join([f"{slot}__in"] + contribs)
+                state_out.append(self.stmt(f"{slot}__out", total,
+                                           tuple(contribs)))
                 continue
             end = self._end_column(slot)
             if end is None:
                 state_out.append(f"{slot}__in")
             else:
                 state_out.append(self.stmt(f"{slot}__out",
-                                           self.state_last(end), (end,)))
+                                           f"int(({end})[-1])", (end,)))
             if slot in self.start_used:
                 if end is None:
                     # Never written this pass: constant across the batch.
-                    self.stmt(f"S_{slot}", self.state_const_expr(slot),
+                    self.stmt(f"S_{slot}", self.const_column(f"{slot}__in"),
                               (), sexpr=f"{slot}__in")
                 else:
-                    self.stmt(f"S_{slot}", self.state_shift_expr(slot, end),
+                    # Shift-by-one start column: concat([carry], end[:-1]).
+                    self.stmt(f"S_{slot}",
+                              f"_np.concatenate((_np.asarray([{slot}__in], "
+                              f"dtype={self.dtype}), ({end})[:-1]))",
                               (end,), kind="shift", slot=slot)
         return state_out
 
@@ -697,18 +649,15 @@ class _VectorCodegen:
         lines += [f"    {s.target} = {s.expr}" for s in ordered]
         return self._epilogue(lines, out_names, state_out)
 
-    backend_tag = "vectorized"
-
     def _prologue(self) -> list[str]:
         names = _state_names(self.plan)
-        return [f"def _run(_m, _state):  "
-                f"# {self.backend_tag} from {self.plan.name!r}",
+        return [f"def _run(_m, _state):  # vectorized from {self.plan.name!r}",
                 f"    ({', '.join(f'{n}__in' for n in names)},) = _state",
-                "    _n = _m.shape[0]"] + self.prelude_lines()
+                "    _n = _m.shape[0]"]
 
     def _epilogue(self, lines: list[str], out_names: list[str],
                   state_out: list[str]) -> str:
-        outs = ", ".join(self.result_expr(n) for n in out_names)
+        outs = ", ".join(out_names)
         if out_names:
             outs += ","
         lines.append(f"    return ({outs}), ({', '.join(state_out)},)")
@@ -896,13 +845,6 @@ class VectorizedEngine(_EngineBase):
 
     backend = "vectorized"
 
-    #: Rows per :meth:`run_array` execution chunk; ``None`` runs the
-    #: whole batch in one pass.  Subclasses whose working set per value
-    #: is compact enough that a tile stays cache-resident (the packed
-    #: backend) set this to keep huge Monte-Carlo blocks off main
-    #: memory; tiles carry state exactly like consecutive batch calls.
-    _tile_rows: int | None = None
-
     def __init__(self, design: SynthesizedDesign,
                  power_management: bool = True) -> None:
         self.design = design
@@ -945,24 +887,8 @@ class VectorizedEngine(_EngineBase):
                          for name, _sp in self.plan.outputs},
                 activity=ActivityCounter(width=self.plan.width), samples=0)
         before = self._state
-        tile = self._tile_rows
         n = matrix.shape[0]
-        if tile and n > tile:
-            # Chunked execution with state threaded across tiles — the
-            # same carry semantics as consecutive run_array calls, so
-            # results are bit-identical by construction.  Counters are
-            # monotonic state slots, so one before/after delta covers
-            # the whole span.
-            state = before
-            chunks = []
-            for start in range(0, n, tile):
-                cols, state = self._run(matrix[start:start + tile], state)
-                chunks.append(cols)
-            after = state
-            cols = [np.concatenate([chunk[i] for chunk in chunks])
-                    for i in range(len(self.plan.outputs))]
-        else:
-            cols, after = self._run(matrix, before)
+        cols, after = self._run(matrix, before)
         self._state = after
         self.samples += n
         return ArrayBatchResult(

@@ -23,7 +23,7 @@ def gcd_pair():
 
 
 #: Array backends held to byte-identity against the compiled engine.
-ARRAY_BACKENDS = ("vectorized", "packed")
+ARRAY_BACKENDS = ("vectorized",)
 
 
 class TestFixedMode:

@@ -111,6 +111,11 @@ class TestAPI:
             client.submit("frobnicate", circuits=["gcd"], budgets=[6])
         assert err.value.status == 400
         with pytest.raises(ServeError) as err:
+            client.submit("explore", circuits=["gcd"], budgets=[6],
+                          sim_backend="packed", sim_vectors=0)
+        assert err.value.status == 400
+        assert "sim_backend" in str(err.value)
+        with pytest.raises(ServeError) as err:
             client.job("j-999-deadbeef")
         assert err.value.status == 404
 

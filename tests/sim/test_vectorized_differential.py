@@ -169,15 +169,11 @@ class TestArrayBuilders:
 
 class TestBackendSelection:
     def test_create_engine_backends(self, gcd_graph):
-        from repro.sim.packed import PackedEngine
-
         design = run_pair(gcd_graph, FlowConfig(n_steps=7)).managed.design
         assert isinstance(create_engine(design, backend="compiled"),
                           CompiledEngine)
         assert isinstance(create_engine(design, backend="vectorized"),
                           VectorizedEngine)
-        assert isinstance(create_engine(design, backend="packed"),
-                          PackedEngine)
         assert isinstance(create_engine(design, backend="auto"),
                           VectorizedEngine)
 
@@ -185,15 +181,33 @@ class TestBackendSelection:
         design = run_pair(gcd_graph, FlowConfig(n_steps=7)).managed.design
         for requested, resolved in [("compiled", "compiled"),
                                     ("vectorized", "vectorized"),
-                                    ("packed", "packed"),
                                     ("auto", "vectorized")]:
             engine = create_engine(design, backend=requested)
             assert engine.chosen_backend == resolved, requested
 
+    def test_auto_falls_back_to_compiled_past_the_width_limit(self,
+                                                             gcd_graph):
+        """Width 63 leaves no int64 headroom: auto builds the compiled
+        engine, which still matches the functional reference."""
+        from repro.sim.reference import evaluate
+
+        design = run_pair(gcd_graph,
+                          FlowConfig(n_steps=7, width=63)).managed.design
+        engine = create_engine(design, backend="auto")
+        assert isinstance(engine, CompiledEngine)
+        assert engine.chosen_backend == "compiled"
+        vectors = random_vectors(gcd_graph, 16, seed=3)
+        outputs, _ = engine.run_many(vectors)
+        assert outputs == [evaluate(gcd_graph, v, width=63)
+                           for v in vectors]
+
     def test_unknown_backend_rejected(self, gcd_graph):
         design = run_pair(gcd_graph, FlowConfig(n_steps=7)).managed.design
-        with pytest.raises(ValueError, match="unknown simulation backend"):
-            create_engine(design, backend="fortran")
+        for name in ("fortran", "packed"):
+            with pytest.raises(ValueError, match=(
+                    f"unknown simulation backend '{name}'; "
+                    "choose one of compiled, vectorized, auto$")):
+                create_engine(design, backend=name)
 
 
 class TestGeneratedCircuitFuzz:
@@ -298,17 +312,6 @@ class TestGatedRecurrenceRegression:
         engine = create_engine(design, backend="auto")
         assert isinstance(engine, VectorizedEngine)
         assert engine.chosen_backend == "vectorized"
-
-    def test_packed_falls_back_to_hybrid(self, recurrent_design):
-        """packed cannot run recurrences; it degrades to the hybrid
-        vectorized engine (never to an error)."""
-        graph, design = recurrent_design
-        engine = create_engine(design, backend="packed")
-        assert isinstance(engine, VectorizedEngine)
-        assert engine.chosen_backend == "vectorized"
-        vectors = random_vectors(graph, 16, seed=1)
-        reference = CompiledEngine(design).run_many(vectors)
-        assert engine.run_many(vectors) == reference
 
 
 class TestRandomCircuits:
