@@ -18,9 +18,9 @@ ablation can report the true optimum.
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from repro.core.cones import compute_cones
+from repro.core.cones import MuxCones, compute_all_cones, compute_cones
 from repro.ir.graph import CDFG
 from repro.sched.resources import UNIT_COST
 
@@ -32,7 +32,11 @@ def estimated_savings_weight(graph: CDFG, mux_id: int,
     """Power weight expected to be saved if this MUX alone is managed:
     each exclusive-cone op is skipped with the probability that the other
     side is selected."""
-    cones = compute_cones(graph, mux_id)
+    return _savings_weight(graph, compute_cones(graph, mux_id), select_prob)
+
+
+def _savings_weight(graph: CDFG, cones: MuxCones,
+                    select_prob: float = 0.5) -> float:
     p = (1.0 - select_prob, select_prob)  # P(side not taken): side0 skipped w.p. P(sel=1)
     total = 0.0
     for side in (0, 1):
@@ -46,8 +50,13 @@ def order_muxes(
     graph: CDFG,
     strategy: str = "output_first",
     given: Sequence[int] | None = None,
+    cones: Mapping[int, MuxCones] | None = None,
 ) -> list[int]:
-    """Return MUX node ids in processing order for ``strategy``."""
+    """Return MUX node ids in processing order for ``strategy``.
+
+    ``cones`` may carry the graph's already computed MUX cones (the PM
+    pass shares its own); ``savings`` computes them when it is omitted.
+    """
     mux_ids = [m.nid for m in graph.muxes()]
     if strategy == "given":
         if given is None:
@@ -61,9 +70,11 @@ def order_muxes(
         reverse = strategy == "input_first"
         return sorted(mux_ids, key=lambda m: (dist[m], m), reverse=reverse)
     if strategy == "savings":
+        if cones is None:
+            cones = compute_all_cones(graph)
         return sorted(
             mux_ids,
-            key=lambda m: (-estimated_savings_weight(graph, m), m),
+            key=lambda m: (-_savings_weight(graph, cones[m]), m),
         )
     raise ValueError(f"unknown ordering strategy {strategy!r}; "
                      f"choose from {STRATEGIES}")

@@ -16,6 +16,10 @@ def describe_decisions(result: PMResult) -> str:
         mux = graph.node(decision.mux)
         mark = "+" if decision.selected else "-"
         line = f"  [{mark}] {mux.label()}: {decision.reason}"
+        if decision.blocker is not None:
+            asap, alap = decision.blocker_times
+            line += (f" ({graph.node(decision.blocker).label()}: "
+                     f"ASAP {asap} > ALAP {alap})")
         if decision.selected:
             names = ", ".join(graph.node(n).label()
                               for n in sorted(decision.gated))

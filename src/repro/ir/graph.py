@@ -4,6 +4,14 @@ Nodes are operations; data edges are implied by each node's ordered operand
 list.  In addition the graph carries *control edges* — pure precedence
 constraints with no data flow — which is exactly what the paper's step 10
 inserts between a MUX's select driver and the top nodes of its data cones.
+
+Structure queries are memoized.  Every mutation (``add_node``,
+``add_control_edge``, ``remove_control_edge``, ``clear_control_edges``)
+bumps one version counter; topological orders are kept per version, and
+the neighbour tuples (``preds``, ``succs``, ``data_succs``) are kept per
+node and dropped only for the nodes a mutation touches, so adding or
+removing one control edge does not throw away the rest of the index.
+The memo holds structure only: latencies are read from the live nodes.
 """
 
 from __future__ import annotations
@@ -36,6 +44,14 @@ class CDFG:
         self._control_succs: dict[int, set[int]] = {}
         self._control_preds: dict[int, set[int]] = {}
         self._next_id = 0
+        # The memoized index (see the module docstring).  Operands never
+        # change, so data predecessors are stored once at add_node.
+        self._version = 0
+        self._data_preds: dict[int, tuple[int, ...]] = {}
+        self._data_succs_memo: dict[int, tuple[int, ...]] = {}
+        self._preds_memo: dict[int, tuple[int, ...]] = {}
+        self._succs_memo: dict[int, tuple[int, ...]] = {}
+        self._orders: dict[bool, tuple[int, tuple[int, ...]]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -60,30 +76,67 @@ class CDFG:
                     latency=latency)
         self._nodes[nid] = node
         self._succs[nid] = []
+        self._data_preds[nid] = tuple(dict.fromkeys(operands))
+        self._version += 1
         for producer in operands:
             self._succs[producer].append(nid)
+            self._succs_memo.pop(producer, None)
+            self._data_succs_memo.pop(producer, None)
         return nid
 
     def add_control_edge(self, src: int, dst: int) -> None:
-        """Add a pure precedence edge ``src`` -> ``dst`` (paper step 10)."""
+        """Add a pure precedence edge ``src`` -> ``dst`` (paper step 10).
+
+        The cycle check is a depth-first search from ``dst`` for ``src``
+        over data and control edges, so it costs the part of the graph
+        downstream of ``dst``, not a full sort.  A refused edge raises
+        :class:`CDFGError` and leaves the graph unchanged.
+        """
         if src not in self._nodes or dst not in self._nodes:
             raise CDFGError(f"control edge {src}->{dst}: unknown node")
         if src == dst:
             raise CDFGError(f"control self-edge on node {src}")
+        if dst in self._control_succs.get(src, ()):
+            return
+        if self._reaches(dst, src):
+            raise CDFGError(f"control edge {src}->{dst} creates a cycle")
         self._control_succs.setdefault(src, set()).add(dst)
         self._control_preds.setdefault(dst, set()).add(src)
-        if self._creates_cycle():
-            self._control_succs[src].discard(dst)
-            self._control_preds[dst].discard(src)
-            raise CDFGError(f"control edge {src}->{dst} creates a cycle")
+        self._touched(src, dst)
 
     def remove_control_edge(self, src: int, dst: int) -> None:
         self._control_succs.get(src, set()).discard(dst)
         self._control_preds.get(dst, set()).discard(src)
+        self._touched(src, dst)
 
     def clear_control_edges(self) -> None:
         self._control_succs.clear()
         self._control_preds.clear()
+        self._preds_memo.clear()
+        self._succs_memo.clear()
+        self._version += 1
+
+    def _touched(self, src: int, dst: int) -> None:
+        """Record a changed control edge: bump the version and drop the
+        memoized neighbours the edge is part of."""
+        self._version += 1
+        self._succs_memo.pop(src, None)
+        self._preds_memo.pop(dst, None)
+
+    def _reaches(self, start: int, target: int) -> bool:
+        """True if ``target`` is reachable from ``start`` (data+control)."""
+        seen = {start}
+        stack = [start]
+        data_succs, control_succs = self._succs, self._control_succs
+        while stack:
+            nid = stack.pop()
+            for succ in (*data_succs[nid], *control_succs.get(nid, ())):
+                if succ == target:
+                    return True
+                if succ not in seen:
+                    seen.add(succ)
+                    stack.append(succ)
+        return False
 
     # ------------------------------------------------------------------
     # Access
@@ -134,25 +187,20 @@ class CDFG:
     # Edges
     # ------------------------------------------------------------------
 
-    def data_preds(self, nid: int) -> list[int]:
+    def data_preds(self, nid: int) -> tuple[int, ...]:
         """Operand producers (with duplicates collapsed, order preserved)."""
-        seen: set[int] = set()
-        result = []
-        for producer in self.node(nid).operands:
-            if producer not in seen:
-                seen.add(producer)
-                result.append(producer)
-        return result
+        try:
+            return self._data_preds[nid]
+        except KeyError:
+            raise CDFGError(f"no node with id {nid}") from None
 
-    def data_succs(self, nid: int) -> list[int]:
+    def data_succs(self, nid: int) -> tuple[int, ...]:
         """Consumers of this node's value (duplicates collapsed)."""
-        seen: set[int] = set()
-        result = []
-        for consumer in self._succs[nid]:
-            if consumer not in seen:
-                seen.add(consumer)
-                result.append(consumer)
-        return result
+        memo = self._data_succs_memo.get(nid)
+        if memo is None:
+            memo = tuple(dict.fromkeys(self._succs[nid]))
+            self._data_succs_memo[nid] = memo
+        return memo
 
     def control_preds(self, nid: int) -> set[int]:
         return set(self._control_preds.get(nid, ()))
@@ -163,33 +211,46 @@ class CDFG:
     def control_edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u, vs in self._control_succs.items() for v in sorted(vs)]
 
-    def preds(self, nid: int) -> list[int]:
-        """All predecessors: data + control (scheduling constraints)."""
-        result = self.data_preds(nid)
-        extra = self._control_preds.get(nid)
-        if extra:
-            result.extend(p for p in sorted(extra) if p not in result)
-        return result
+    def preds(self, nid: int) -> tuple[int, ...]:
+        """All predecessors: data + control (scheduling constraints);
+        data predecessors first, then the other control ones in id order."""
+        memo = self._preds_memo.get(nid)
+        if memo is None:
+            memo = self._merged(self.data_preds(nid),
+                                self._control_preds.get(nid))
+            self._preds_memo[nid] = memo
+        return memo
 
-    def succs(self, nid: int) -> list[int]:
-        """All successors: data + control."""
-        result = self.data_succs(nid)
-        extra = self._control_succs.get(nid)
-        if extra:
-            result.extend(s for s in sorted(extra) if s not in result)
-        return result
+    def succs(self, nid: int) -> tuple[int, ...]:
+        """All successors: data + control, ordered like :meth:`preds`."""
+        memo = self._succs_memo.get(nid)
+        if memo is None:
+            memo = self._merged(self.data_succs(nid),
+                                self._control_succs.get(nid))
+            self._succs_memo[nid] = memo
+        return memo
+
+    @staticmethod
+    def _merged(data: tuple[int, ...],
+                control: set[int] | None) -> tuple[int, ...]:
+        if not control:
+            return data
+        return data + tuple(n for n in sorted(control) if n not in data)
 
     # ------------------------------------------------------------------
     # Traversal
     # ------------------------------------------------------------------
 
-    def topological_order(self, include_control: bool = True) -> list[int]:
-        """Kahn topological sort; raises CDFGError on cycles."""
-        indegree = {nid: 0 for nid in self._nodes}
+    def topological_order(self, include_control: bool = True
+                          ) -> tuple[int, ...]:
+        """Kahn topological sort (ties in id order, then FIFO), memoized
+        until the next mutation; raises CDFGError on cycles."""
+        memo = self._orders.get(include_control)
+        if memo is not None and memo[0] == self._version:
+            return memo[1]
         succs_of = self.succs if include_control else self.data_succs
         preds_of = self.preds if include_control else self.data_preds
-        for nid in self._nodes:
-            indegree[nid] = len(preds_of(nid))
+        indegree = {nid: len(preds_of(nid)) for nid in self._nodes}
         ready = deque(sorted(n for n, d in indegree.items() if d == 0))
         order: list[int] = []
         while ready:
@@ -201,14 +262,9 @@ class CDFG:
                     ready.append(succ)
         if len(order) != len(self._nodes):
             raise CDFGError("graph contains a cycle")
-        return order
-
-    def _creates_cycle(self) -> bool:
-        try:
-            self.topological_order()
-        except CDFGError:
-            return True
-        return False
+        result = tuple(order)
+        self._orders[include_control] = (self._version, result)
+        return result
 
     def transitive_fanin(self, nid: int, include_self: bool = False) -> set[int]:
         """All nodes from which ``nid`` is reachable via data edges."""
@@ -264,6 +320,14 @@ class CDFG:
             clone._control_succs[src] = set(dsts)
         for dst, srcs in self._control_preds.items():
             clone._control_preds[dst] = set(srcs)
+        # The memo holds immutable tuples, so the clone starts warm.
+        clone._data_preds = dict(self._data_preds)
+        clone._data_succs_memo = dict(self._data_succs_memo)
+        clone._preds_memo = dict(self._preds_memo)
+        clone._succs_memo = dict(self._succs_memo)
+        clone._orders = {key: (0, order)
+                         for key, (version, order) in self._orders.items()
+                         if version == self._version}
         return clone
 
     def op_counts(self) -> dict[str, int]:

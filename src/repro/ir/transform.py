@@ -10,7 +10,7 @@ These run before scheduling:
 
 from __future__ import annotations
 
-from repro.ir.graph import CDFG
+from repro.ir.graph import CDFG, CDFGError
 from repro.ir.ops import Op, OpSemantics
 
 
@@ -88,6 +88,6 @@ def fold_constants(graph: CDFG, width: int = 8) -> CDFG:
         if ns != nd and ns not in const_of:
             try:
                 out.add_control_edge(ns, nd)
-            except Exception:
-                pass  # edge collapsed onto itself or became redundant
+            except CDFGError:
+                pass  # merged nodes would close a cycle: drop the edge
     return eliminate_dead_nodes(out)

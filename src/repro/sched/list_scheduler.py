@@ -46,6 +46,18 @@ def list_schedule(
     the limit.
     """
     frame = TimingFrame.compute(graph, n_steps)  # raises if no slack at all
+    return schedule_with_frame(graph, frame, allocation, initiation_interval)
+
+
+def schedule_with_frame(
+    graph: CDFG,
+    frame: TimingFrame,
+    allocation: Allocation,
+    initiation_interval: int | None = None,
+) -> Schedule:
+    """:func:`list_schedule` with the graph's timing frame already known
+    (the minimum-resource search reuses one frame for every attempt)."""
+    n_steps = frame.n_steps
     ii = initiation_interval
     if ii is not None and ii <= 0:
         raise ValueError(f"initiation interval must be positive, got {ii}")
@@ -72,9 +84,15 @@ def list_schedule(
                 return False
         return True
 
-    # Zero-latency and schedulable nodes are placed in one sweep; ops wait
-    # in `pending` ordered by (alap, asap, nid).
-    pending = set(graph.node_ids)
+    # Zero-latency nodes (wiring) and operations are placed in one sweep;
+    # ready operations go in (alap, asap, nid) order.
+    preds = {nid: graph.preds(nid) for nid in graph.node_ids}
+    wiring = sorted(n.nid for n in graph if not n.is_schedulable)
+    pending_ops = {n.nid for n in graph if n.is_schedulable}
+
+    def done_by(nid: int, step: int) -> bool:
+        return all(p in finished_at and finished_at[p] <= step
+                   for p in preds[nid])
 
     for step in range(n_steps):
         # Place every zero-latency node whose predecessors are done (they
@@ -82,23 +100,17 @@ def list_schedule(
         changed = True
         while changed:
             changed = False
-            for nid in sorted(pending):
-                node = graph.node(nid)
-                if node.is_schedulable:
-                    continue
-                preds = graph.preds(nid)
-                if all(p in finished_at and finished_at[p] <= step for p in preds):
-                    ready_at = max((finished_at[p] for p in preds), default=0)
-                    occupy(nid, max(ready_at, 0) if preds else 0)
-                    pending.discard(nid)
+            waiting = []
+            for nid in wiring:
+                if done_by(nid, step):
+                    occupy(nid, max((finished_at[p] for p in preds[nid]),
+                                    default=0))
                     changed = True
+                else:
+                    waiting.append(nid)
+            wiring = waiting
 
-        ready = [
-            nid for nid in pending
-            if graph.node(nid).is_schedulable
-            and all(p in finished_at and finished_at[p] <= step
-                    for p in graph.preds(nid))
-        ]
+        ready = [nid for nid in pending_ops if done_by(nid, step)]
         ready.sort(key=lambda nid: (frame.alap[nid], frame.asap[nid], nid))
 
         for nid in ready:
@@ -110,7 +122,7 @@ def list_schedule(
                 )
             if has_unit(node, step):
                 occupy(nid, step)
-                pending.discard(nid)
+                pending_ops.discard(nid)
             elif frame.alap[nid] == step:
                 # Forced op with no free unit: this allocation cannot work.
                 raise ListSchedulingFailure(
@@ -119,16 +131,14 @@ def list_schedule(
                     bottleneck=node.resource,
                 )
 
-    if any(graph.node(nid).is_schedulable for nid in pending):
-        leftover = [graph.node(n).label() for n in sorted(pending)
-                    if graph.node(n).is_schedulable]
+    if pending_ops:
+        leftover = [graph.node(n).label() for n in sorted(pending_ops)]
         raise ListSchedulingFailure(
             f"unscheduled ops after {n_steps} steps: {', '.join(leftover)}"
         )
     # Any remaining zero-latency nodes (e.g. outputs of last-step ops).
-    for nid in sorted(pending):
-        preds = graph.preds(nid)
-        ready_at = max((finished_at[p] for p in preds), default=0)
+    for nid in wiring:
+        ready_at = max((finished_at[p] for p in preds[nid]), default=0)
         start[nid] = ready_at
         finished_at[nid] = ready_at
 

@@ -14,13 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.ir.graph import CDFG
-from repro.sched.list_scheduler import ListSchedulingFailure, list_schedule
+from repro.sched.list_scheduler import (
+    ListSchedulingFailure,
+    schedule_with_frame,
+)
 from repro.sched.resources import (
     Allocation,
     lower_bound_allocation,
     unbounded_allocation,
 )
 from repro.sched.schedule import Schedule
+from repro.sched.timing import TimingFrame
 
 
 @dataclass(frozen=True)
@@ -49,12 +53,14 @@ def minimize_resources(
         for cls, n in allocation.counts.items()
     })
 
+    frame = TimingFrame.compute(graph, n_steps)  # the graph never changes
     attempts = 0
     while True:
         attempts += 1
         try:
-            schedule = list_schedule(graph, n_steps, allocation,
-                                     initiation_interval=initiation_interval)
+            schedule = schedule_with_frame(
+                graph, frame, allocation,
+                initiation_interval=initiation_interval)
             # Trim: the schedule may not use everything we allocated.
             return MinimizeResult(schedule=schedule,
                                   allocation=schedule.resource_usage(),

@@ -21,15 +21,20 @@ class InfeasibleScheduleError(Exception):
     """The graph cannot be scheduled within the requested control steps."""
 
 
+def _latencies(graph: CDFG) -> dict[int, int]:
+    """Latency of every node, read once per analysis (the graph's index
+    memoizes structure only, so a caller may retune latencies)."""
+    return {node.nid: node.latency for node in graph}
+
+
 def asap_times(graph: CDFG) -> dict[int, int]:
     """Earliest start step of every node (paper's ASAP values)."""
+    latency = _latencies(graph)
+    preds_of = graph.preds
     asap: dict[int, int] = {}
     for nid in graph.topological_order():
-        preds = graph.preds(nid)
-        if not preds:
-            asap[nid] = 0
-        else:
-            asap[nid] = max(asap[p] + graph.node(p).latency for p in preds)
+        asap[nid] = max((asap[p] + latency[p] for p in preds_of(nid)),
+                        default=0)
     return asap
 
 
@@ -47,19 +52,19 @@ def alap_times(graph: CDFG, n_steps: int) -> dict[int, int]:
 
     Raises InfeasibleScheduleError if ``n_steps`` is below the critical path.
     """
+    latency = _latencies(graph)
+    succs_of = graph.succs
     alap: dict[int, int] = {}
     for nid in reversed(graph.topological_order()):
-        node = graph.node(nid)
-        succs = graph.succs(nid)
-        if not succs:
-            alap[nid] = n_steps - node.latency
-        else:
-            alap[nid] = min(alap[s] for s in succs) - node.latency
-        if alap[nid] < 0:
+        late = min((alap[s] for s in succs_of(nid)), default=n_steps) \
+            - latency[nid]
+        if late < 0:
             raise InfeasibleScheduleError(
-                f"{n_steps} control steps infeasible: node {node.label()} "
-                f"would need to start at step {alap[nid]}"
+                f"{n_steps} control steps infeasible: node "
+                f"{graph.node(nid).label()} would need to start at step "
+                f"{late}"
             )
+        alap[nid] = late
     return alap
 
 

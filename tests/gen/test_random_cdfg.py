@@ -71,7 +71,7 @@ class TestKnobs:
                 producer = mux.data_operand(side)
                 node = graph.node(producer)
                 if node.is_schedulable:
-                    assert graph.data_succs(producer) == [mux.nid]
+                    assert graph.data_succs(producer) == (mux.nid,)
 
     def test_reuse_window_controls_depth(self):
         from repro.sched.timing import critical_path_length

@@ -91,6 +91,63 @@ class TestConstantFolding:
         consts = {n.value for n in g.constants()}
         assert -56 in consts
 
+    @staticmethod
+    def by_name(graph):
+        return {n.name: n.nid for n in graph if n.name}
+
+    def test_control_edge_between_surviving_nodes_is_kept(self):
+        b = GraphBuilder("t")
+        a, c = b.input("a"), b.input("c")
+        b.output(b.add(a, c, name="x"), "ox")
+        b.output(b.sub(a, c, name="y"), "oy")
+        g = b.build()
+        ids = self.by_name(g)
+        g.add_control_edge(ids["x"], ids["y"])
+        folded = fold_constants(g)
+        new = self.by_name(folded)
+        assert folded.control_edges() == [(new["x"], new["y"])]
+
+    def test_control_edge_from_a_folded_constant_is_dropped(self):
+        b = GraphBuilder("t")
+        a = b.input("a")
+        k = b.add(b.const(2), b.const(3), name="k")
+        b.output(b.add(a, k, name="y"), "out")
+        g = b.build()
+        ids = self.by_name(g)
+        g.add_control_edge(ids["k"], ids["y"])
+        folded = fold_constants(g)
+        assert "k" not in self.by_name(folded)
+        assert folded.control_edges() == []
+
+    def test_control_edge_closing_a_cycle_after_folding_is_dropped(self):
+        """mux(1, p, q) collapses onto q, so u -> mux becomes u -> q while
+        u consumes q: the edge would close a cycle and is dropped."""
+        b = GraphBuilder("t")
+        a = b.input("a")
+        q = b.add(a, 1, name="q")
+        b.output(b.mux(b.const(1), a, q, name="m"), "om")
+        b.output(b.mul(q, 2, name="u"), "ou")
+        g = b.build()
+        ids = self.by_name(g)
+        g.add_control_edge(ids["u"], ids["m"])
+        folded = fold_constants(g)
+        assert folded.control_edges() == []
+        assert evaluate(folded, {"a": 3}) == evaluate(g, {"a": 3})
+
+    def test_only_graph_errors_are_swallowed(self, monkeypatch):
+        from repro.ir.graph import CDFG
+
+        g = graph_with_dead_op()
+        live = next(n.nid for n in g if n.name == "live")
+        g.add_control_edge(g.inputs()[0].nid, live)
+
+        def broken(self, src, dst):
+            raise RuntimeError("fault in the cycle check")
+
+        monkeypatch.setattr(CDFG, "add_control_edge", broken)
+        with pytest.raises(RuntimeError, match="cycle check"):
+            fold_constants(g)
+
     def test_behaviour_preserved_on_benchmarks(self, small_circuit):
         from repro.sim.vectors import random_vectors
         folded = fold_constants(small_circuit)
