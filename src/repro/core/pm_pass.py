@@ -50,6 +50,7 @@ from repro.sched.timing import (
     InfeasibleScheduleError,
     TimingFrame,
     critical_path_length,
+    latencies,
 )
 
 # Rejection reasons recorded on MuxDecision.
@@ -183,7 +184,7 @@ class CommittedTiming:
         self.n_steps = n_steps
         self.asap = dict(frame.asap)
         self.alap = dict(frame.alap)
-        self._latency = {node.nid: node.latency for node in graph}
+        self._latency = latencies(graph)
         self._reposition()
         # Undo log of (table, node, old value), and the edges tightened
         # since the last commit or revert.

@@ -7,11 +7,14 @@ inserts between a MUX's select driver and the top nodes of its data cones.
 
 Structure queries are memoized.  Every mutation (``add_node``,
 ``add_control_edge``, ``remove_control_edge``, ``clear_control_edges``)
-bumps one version counter; topological orders are kept per version, and
-the neighbour tuples (``preds``, ``succs``, ``data_succs``) are kept per
-node and dropped only for the nodes a mutation touches, so adding or
-removing one control edge does not throw away the rest of the index.
-The memo holds structure only: latencies are read from the live nodes.
+bumps one version counter and topological orders are kept per version.
+The ``preds``/``succs`` tuples are dropped on every mutation, except that
+one control edge ``src -> dst`` drops only ``succs(src)`` and
+``preds(dst)``, the two it changes; the PM pass adds and removes control
+edges one at a time, and rebuilding every tuple after each of those cost
+it measurably.  ``data_succs`` tuples are dropped only when a node is
+added.  The memo holds structure only: latencies are read from the live
+nodes.
 """
 
 from __future__ import annotations
@@ -77,11 +80,10 @@ class CDFG:
         self._nodes[nid] = node
         self._succs[nid] = []
         self._data_preds[nid] = tuple(dict.fromkeys(operands))
-        self._version += 1
         for producer in operands:
             self._succs[producer].append(nid)
-            self._succs_memo.pop(producer, None)
-            self._data_succs_memo.pop(producer, None)
+        self._data_succs_memo.clear()
+        self._changed()
         return nid
 
     def add_control_edge(self, src: int, dst: int) -> None:
@@ -102,26 +104,30 @@ class CDFG:
             raise CDFGError(f"control edge {src}->{dst} creates a cycle")
         self._control_succs.setdefault(src, set()).add(dst)
         self._control_preds.setdefault(dst, set()).add(src)
-        self._touched(src, dst)
+        self._changed(src, dst)
 
     def remove_control_edge(self, src: int, dst: int) -> None:
         self._control_succs.get(src, set()).discard(dst)
         self._control_preds.get(dst, set()).discard(src)
-        self._touched(src, dst)
+        self._changed(src, dst)
 
     def clear_control_edges(self) -> None:
         self._control_succs.clear()
         self._control_preds.clear()
-        self._preds_memo.clear()
-        self._succs_memo.clear()
-        self._version += 1
+        self._changed()
 
-    def _touched(self, src: int, dst: int) -> None:
-        """Record a changed control edge: bump the version and drop the
-        memoized neighbours the edge is part of."""
+    def _changed(self, src: int | None = None, dst: int | None = None
+                 ) -> None:
+        """Record a mutation: bump the version and drop the memoized
+        ``preds``/``succs`` tuples it can change — for one control edge
+        ``src -> dst`` just ``succs(src)`` and ``preds(dst)``, else all."""
         self._version += 1
-        self._succs_memo.pop(src, None)
-        self._preds_memo.pop(dst, None)
+        if src is None:
+            self._preds_memo.clear()
+            self._succs_memo.clear()
+        else:
+            self._succs_memo.pop(src, None)
+            self._preds_memo.pop(dst, None)
 
     def _reaches(self, start: int, target: int) -> bool:
         """True if ``target`` is reachable from ``start`` (data+control)."""

@@ -72,7 +72,7 @@ class StageStore(Protocol):
 
 #: Bump when the on-disk entry format changes incompatibly; part of the
 #: digest, so old trees are simply never hit instead of misread.
-STORE_FORMAT = 1
+STORE_FORMAT = 2
 
 #: Bump when the index schema changes incompatibly; a mismatched index
 #: is dropped and rebuilt from the entry tree (the tree is the truth).

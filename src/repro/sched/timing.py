@@ -21,7 +21,7 @@ class InfeasibleScheduleError(Exception):
     """The graph cannot be scheduled within the requested control steps."""
 
 
-def _latencies(graph: CDFG) -> dict[int, int]:
+def latencies(graph: CDFG) -> dict[int, int]:
     """Latency of every node, read once per analysis (the graph's index
     memoizes structure only, so a caller may retune latencies)."""
     return {node.nid: node.latency for node in graph}
@@ -29,7 +29,7 @@ def _latencies(graph: CDFG) -> dict[int, int]:
 
 def asap_times(graph: CDFG) -> dict[int, int]:
     """Earliest start step of every node (paper's ASAP values)."""
-    latency = _latencies(graph)
+    latency = latencies(graph)
     preds_of = graph.preds
     asap: dict[int, int] = {}
     for nid in graph.topological_order():
@@ -52,7 +52,7 @@ def alap_times(graph: CDFG, n_steps: int) -> dict[int, int]:
 
     Raises InfeasibleScheduleError if ``n_steps`` is below the critical path.
     """
-    latency = _latencies(graph)
+    latency = latencies(graph)
     succs_of = graph.succs
     alap: dict[int, int] = {}
     for nid in reversed(graph.topological_order()):

@@ -6,7 +6,6 @@ in ``test_store.py``; here live the behaviors the index provides.
 """
 
 import concurrent.futures
-import hashlib
 import pickle
 import sqlite3
 import threading
@@ -39,7 +38,7 @@ class IndexlessWriter:
         return None
 
     def store(self, key, artifacts):
-        digest = hashlib.sha256(f"v1:{key!r}".encode("utf-8")).hexdigest()
+        digest = DiskArtifactCache.digest(key)
         path = self.root / digest[:2] / f"{digest[2:]}.pkl"
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(pickle.dumps(dict(artifacts),

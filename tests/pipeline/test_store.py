@@ -19,6 +19,7 @@ from repro.pipeline import (
     StageStore,
     graph_fingerprint,
 )
+from repro.pipeline import store as store_module
 
 CACHEABLE = ("analyze", "power_manage", "schedule", "allocate", "elaborate")
 
@@ -159,6 +160,59 @@ class TestResilience:
             store.store((f"k{k}",), {"v": k})
         leftovers = [p for p in store.root.rglob(".tmp-*")]
         assert leftovers == []
+
+
+class TestOlderFormat:
+    """Entries written under an older ``STORE_FORMAT`` are never served:
+    their pickles may hold objects the current code cannot use."""
+
+    # What a CDFG pickled by a format-1 store lacks: its structural index.
+    INDEX_ATTRS = ("_version", "_data_preds", "_data_succs_memo",
+                   "_preds_memo", "_succs_memo", "_orders")
+
+    # A scheduler other than the one the tree was written with, so the
+    # stages after the PM pass miss and read the PM graph.
+    RESCHEDULE = FlowConfig(n_steps=7, scheduler="force_directed")
+
+    def _write_format_one_tree(self, root, graph, config, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(store_module, "STORE_FORMAT", 1)
+            Pipeline(cache=DiskArtifactCache(root)).run(graph, config)
+        stripped = 0
+        for path in root.glob("??/*.pkl"):
+            artifacts = pickle.loads(path.read_bytes())
+            if "pm" in artifacts:
+                pm_graph = artifacts["pm"].graph
+                for attr in self.INDEX_ATTRS:
+                    delattr(pm_graph, attr)
+                path.write_bytes(pickle.dumps(artifacts))
+                stripped += 1
+        assert stripped == 1
+
+    def test_pm_graph_without_index_is_not_served(self, tmp_path,
+                                                  gcd_graph, monkeypatch):
+        root = tmp_path / "s"
+        self._write_format_one_tree(root, gcd_graph, FlowConfig(n_steps=7),
+                                    monkeypatch)
+        warm = Pipeline(cache=DiskArtifactCache(root)).run_context(
+            gcd_graph, self.RESCHEDULE)
+        assert warm.cache_hits == []
+        assert warm.cache_misses == list(CACHEABLE)
+        fresh = Pipeline().run(gcd_graph, self.RESCHEDULE)
+        assert warm.result.design.summary() == fresh.design.summary()
+
+    def test_served_under_its_own_format_it_would_break(self, tmp_path,
+                                                        gcd_graph,
+                                                        monkeypatch):
+        """The hazard the format bump avoids: the old graph loads without
+        error and fails on its first structure query downstream."""
+        root = tmp_path / "s"
+        self._write_format_one_tree(root, gcd_graph, FlowConfig(n_steps=7),
+                                    monkeypatch)
+        monkeypatch.setattr(store_module, "STORE_FORMAT", 1)
+        with pytest.raises(AttributeError):
+            Pipeline(cache=DiskArtifactCache(root)).run(gcd_graph,
+                                                        self.RESCHEDULE)
 
 
 class TestBounding:
