@@ -48,7 +48,7 @@ from repro.circuits import build  # noqa: E402
 from repro.core.reordering import exhaustive_search, gated_weight  # noqa: E402
 from repro.gen.random_cdfg import random_cdfg  # noqa: E402
 from repro.opt import anneal, beam_search  # noqa: E402
-from repro.opt.portfolio import portfolio  # noqa: E402
+from repro.opt.search import portfolio  # noqa: E402
 from repro.sched.timing import critical_path_length  # noqa: E402
 
 #: (spec, budget) — budget ``None`` means critical path + 1.  All have

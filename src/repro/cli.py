@@ -39,6 +39,7 @@ from repro.circuits import CIRCUITS, build
 from repro.core.pm_pass import PMOptions
 from repro.ir.graph import CDFG
 from repro.lang.lower import compile_circuit
+from repro.opt.search import DRIVERS, SearchSpec, optimize
 from repro.pipeline import (
     ArtifactCache,
     FlowConfig,
@@ -202,10 +203,19 @@ def cmd_explore(args: argparse.Namespace) -> int:
     return 0
 
 
+def _search_iters(args: argparse.Namespace) -> "int | None":
+    """``--iters`` as given, else its default: unbounded for a portfolio
+    run with a ``--time-budget`` (the wall clock is then the budget),
+    :class:`SearchSpec`'s default otherwise."""
+    if args.iters is not None:
+        return args.iters
+    if args.search == "portfolio" and args.time_budget is not None:
+        return None
+    return SearchSpec.iters
+
+
 def cmd_optimize(args: argparse.Namespace) -> int:
     graph = load_circuit(args.circuit)
-    from repro.opt.search import SearchSpec, optimize
-
     if args.budgets:
         try:
             budgets = tuple(int(b) for b in args.budgets.split(",") if b)
@@ -216,14 +226,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                              "list of control-step counts, e.g. 5,6,7")
     else:
         budgets = (_steps_for(graph, args),)
-    iters = args.iters
-    if (args.search == "portfolio" and args.time_budget is not None
-            and iters == 150):
-        # Pure anytime run: the wall clock, not an iteration count, is
-        # the budget (passing --iters explicitly keeps both caps).
-        iters = None
     spec = SearchSpec(driver=args.search, objective=args.objective,
-                      iters=iters, seed=args.seed,
+                      iters=_search_iters(args), seed=args.seed,
                       restarts=args.restarts, beam_width=args.beam_width,
                       workers=args.workers, time_budget=args.time_budget)
     pm_base = PMOptions(partial=args.partial)
@@ -354,7 +358,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
             "budgets": budgets,
             "driver": args.search,
             "objective": args.objective,
-            "iters": args.iters,
+            "iters": _search_iters(args),
             "seed": args.seed,
             "restarts": args.restarts,
             "beam_width": args.beam_width,
@@ -564,7 +568,7 @@ def make_parser() -> argparse.ArgumentParser:
                            help="engine-simulate every point on N random "
                                 "vectors (default 0 = static estimate)")
     p_explore.add_argument("--search", default=None,
-                           choices=("anneal", "beam", "random", "portfolio"),
+                           choices=DRIVERS,
                            help="search the (ordering, budget) space with "
                                 "this repro.opt driver instead of sweeping "
                                 "the fixed grid (see `repro optimize` for "
@@ -588,13 +592,15 @@ def make_parser() -> argparse.ArgumentParser:
                        help="comma-separated budgets to search over "
                             "(overrides --steps)")
     p_opt.add_argument("--search", default="anneal",
-                       choices=("anneal", "beam", "random", "portfolio"),
+                       choices=DRIVERS,
                        help="search driver (default: anneal)")
     p_opt.add_argument("--objective", default="gated_weight",
                        help="weighted metric terms 'name[=weight],...', "
                             "e.g. 'gated_weight' or 'sim_power,area=0.1'")
-    p_opt.add_argument("--iters", type=int, default=150,
-                       help="search iterations (anneal/random)")
+    p_opt.add_argument("--iters", type=int, default=None,
+                       help="search iterations (anneal/random; moves per "
+                            "island for portfolio).  Default 150, or none "
+                            "for a portfolio run with --time-budget")
     p_opt.add_argument("--seed", type=int, default=0,
                        help="search RNG seed (default 0)")
     p_opt.add_argument("--restarts", type=int, default=2,
@@ -690,10 +696,11 @@ def make_parser() -> argparse.ArgumentParser:
                           choices=BACKENDS)
     p_submit.add_argument("--sim-vectors", type=int, default=0)
     p_submit.add_argument("--search", default="anneal",
-                          choices=("anneal", "beam", "random", "portfolio"),
+                          choices=DRIVERS,
                           help="optimize search driver (default: anneal)")
     p_submit.add_argument("--objective", default="gated_weight")
-    p_submit.add_argument("--iters", type=int, default=150)
+    p_submit.add_argument("--iters", type=int, default=None,
+                          help="as for `repro optimize --iters`")
     p_submit.add_argument("--seed", type=int, default=0)
     p_submit.add_argument("--restarts", type=int, default=2)
     p_submit.add_argument("--beam-width", type=int, default=4)

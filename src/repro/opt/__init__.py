@@ -1,23 +1,23 @@
 """Stochastic PM-aware optimizer subsystem (paper §IV-A, generalized).
 
-Three layers:
+Six modules:
 
 * :mod:`repro.opt.objective` — the shared metric registry, weighted
   scalarization (:class:`Objective`) and Pareto helpers used by the
   reordering search, ``explore().pareto()`` and the drivers alike;
 * :mod:`repro.opt.space` — the joint (MUX ordering, budget, scheduler)
   search space with seeded sampling and annealing moves;
-* :mod:`repro.opt.search` — the drivers: :func:`anneal`,
-  :func:`beam_search`, :func:`random_search`, dispatched by
-  :func:`optimize`, resumable through the explore-style JSONL journal
-  and cache-aware through :class:`~repro.pipeline.DiskArtifactCache`;
+* :mod:`repro.opt.evaluate` — the cache-aware candidate
+  :class:`Evaluator` (memo, disk store, resume journal);
+* :mod:`repro.opt.journal` — the append-only JSONL resume journal,
+  shared with the explorer's sweep journals;
 * :mod:`repro.opt.archive` — the NSGA-II Pareto layer
   (:class:`ParetoArchive`, :func:`nondominated_sort`,
   :func:`crowding_distances`) every driver maintains alongside its
   scalarized best;
-* :mod:`repro.opt.portfolio` — the island-model parallel
-  :func:`portfolio` driver: heterogeneous chains in worker processes
-  with elite migration at deterministic round barriers.
+* :mod:`repro.opt.search` — the drivers: :func:`anneal`,
+  :func:`beam_search`, :func:`random_search` and the island-model
+  parallel :func:`portfolio`, dispatched by :func:`optimize`.
 
 Quick start::
 
@@ -47,14 +47,13 @@ from repro.opt.objective import (
 )
 from repro.opt.space import Candidate, SearchSpace
 
-_SEARCH_NAMES = ("DRIVERS", "OptResult", "SearchSpec", "anneal",
-                 "beam_search", "optimize", "random_search")
+_SEARCH_NAMES = ("DRIVERS", "ISLAND_PROFILES", "IslandState", "OptResult",
+                 "SearchSpec", "anneal", "beam_search", "optimize",
+                 "portfolio", "random_search", "run_island_round")
 _EVALUATE_NAMES = ("EvaluationBudgetExceeded", "Evaluator", "EvalStats",
                    "OPT_FORMAT")
 _ARCHIVE_NAMES = ("ArchiveEntry", "ParetoArchive", "crowding_distances",
                   "nondominated_sort", "nsga_select")
-_PORTFOLIO_NAMES = ("ISLAND_PROFILES", "IslandState", "portfolio_search",
-                    "run_island_round")
 
 __all__ = [
     "Candidate",
@@ -68,7 +67,6 @@ __all__ = [
     "pm_score",
     *_ARCHIVE_NAMES,
     *_EVALUATE_NAMES,
-    *_PORTFOLIO_NAMES,
     *_SEARCH_NAMES,
 ]
 
@@ -86,11 +84,4 @@ def __getattr__(name: str):
         from repro.opt import archive
 
         return getattr(archive, name)
-    if name in _PORTFOLIO_NAMES:
-        # import_module, not a from-import: ``repro.opt.portfolio`` is
-        # a module whose main export shares its name, and the
-        # from-import form would re-enter this __getattr__.
-        import importlib
-
-        return getattr(importlib.import_module("repro.opt.portfolio"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

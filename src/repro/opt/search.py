@@ -11,42 +11,65 @@ shared cache-aware :class:`~repro.opt.evaluate.Evaluator`:
   *prefixes*: partial orders are scored by completing them with the
   remaining MUXes in savings order, and the ``beam_width`` best
   prefixes survive each depth;
-* :func:`random_search` — the uniform-sampling baseline the other two
-  are judged against;
-* ``portfolio`` (:mod:`repro.opt.portfolio`) — the island-model
-  parallel driver: heterogeneous chains in worker processes with
-  periodic elite migration through the shared journal/store.
+* :func:`random_search` — the uniform-sampling baseline the other
+  drivers are judged against;
+* :func:`portfolio` — the island-model parallel driver: heterogeneous
+  chains in worker processes with periodic elite migration.
 
 Every driver first evaluates the built-in greedy strategies
 (``output_first`` / ``input_first`` / ``savings``) at every (budget,
 scheduler), so its result is **never worse than the best greedy
-ordering** by construction.  Drivers are deterministic per (arguments,
-seed): re-running one replays the identical trajectory, which is what
-makes the journal-based resume exact — an interrupted run re-launched
-with the same journal serves the already-computed evaluations from disk
-and continues live from the interruption point, producing the same
-:meth:`OptResult.outcome` as an uninterrupted run.
+ordering** by construction.  Annealing chains, random sampling and
+both island kinds all move through one loop, :func:`walk`.  Drivers
+are deterministic per (arguments, seed): re-running one replays the
+identical trajectory, which is what makes the journal-based resume
+exact — an interrupted run re-launched with the same journal serves the
+already-computed evaluations from disk and continues live from the
+interruption point, producing the same :meth:`OptResult.outcome` as an
+uninterrupted run.
 
 Alongside the scalarized best, every driver maintains a
 :class:`~repro.opt.archive.ParetoArchive` over the objective's metric
 terms and attaches it to :attr:`OptResult.archive` — multi-term
 objectives get the whole nondominated trade-off curve, not just the
-weighted winner.  ``time_budget=`` (seconds of wall clock) makes any
-driver *anytime*: it stops cleanly at the deadline with the best front
-found so far, and a longer budget never returns a dominated front.
+weighted winner.
+
+The portfolio runs in **rounds** (migration epochs), its unit of
+determinism: the coordinator ships every island its chain state, a memo
+snapshot and a ``migration_every`` move quota; each island walks its
+chain in a worker process (:func:`run_island_round`) against the shared
+store; the coordinator then merges the islands in index order (never
+completion order), journals their fresh records through its one
+writer, offers every visited candidate to the archive, and reseeds the
+annealing islands from a *diverse* elite set
+(:meth:`~repro.opt.archive.ParetoArchive.select`).  The outcome is a
+pure function of (arguments, seed, islands); ``workers`` only decides
+how many islands compute at once.
+
+Budgets: ``time_budget=`` (seconds of wall clock) makes any driver
+*anytime* — it stops with the best front found so far, and a longer
+budget never returns a dominated front.  ``max_evaluations=`` caps
+*fresh* computations.  The single-chain drivers raise
+:class:`~repro.opt.evaluate.EvaluationBudgetExceeded` once it is spent,
+leaving the journal ready for resumption; the portfolio splits it
+across the islands each round and, like its time budget, stops at a
+round boundary with the best front so far.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 import time
-from dataclasses import dataclass, field, replace
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Mapping
 
 from repro.ir.graph import CDFG
+from repro.ir.serialize import graph_from_dict, graph_to_dict
 from repro.opt.archive import ParetoArchive
-from repro.opt.evaluate import Evaluator
+from repro.opt.evaluate import EvaluationBudgetExceeded, Evaluator
 from repro.opt.objective import Objective
 from repro.opt.space import Candidate, SearchSpace
 
@@ -176,11 +199,13 @@ class OptResult:
 
 
 class _Run:
-    """Shared driver plumbing: space, evaluator, greedy seeds, best."""
+    """Shared driver plumbing: space, evaluator, greedy seeds, best,
+    archive, deadline and the assembled :class:`OptResult`."""
 
     def __init__(self, graph: CDFG, objective, n_steps, budgets, schedulers,
                  store, journal, max_evaluations, sim_vectors, pm_base,
-                 progress=None, time_budget=None, durability="batch"):
+                 progress=None, time_budget=None, durability="batch",
+                 archive_size=None):
         self.graph = graph
         self.progress = progress
         self.objective = Objective.parse(objective)
@@ -190,9 +215,10 @@ class _Run:
             graph=graph, objective=self.objective, store=store,
             journal=journal, max_evaluations=max_evaluations,
             sim_vectors=sim_vectors, pm_base=pm_base, durability=durability)
-        self.archive = ParetoArchive(self.objective)
+        self.archive = ParetoArchive(self.objective, max_size=archive_size)
         self.deadline = (None if time_budget is None
                          else time.monotonic() + float(time_budget))
+        self.step = 0
         self.best: Candidate | None = None
         self.best_score = -math.inf
         self.best_metrics: Mapping[str, float] = {}
@@ -219,16 +245,27 @@ class _Run:
             self.greedy_scores.append((label, score))
             self.offer(candidate, score, metrics, step=0, label=label)
 
+    def evaluate(self, candidate: Candidate) -> float:
+        """One search move: evaluate ``candidate``, count the step and
+        offer the result; returns its score."""
+        score, metrics = self.evaluator.evaluate(candidate)
+        self.step += 1
+        self.offer(candidate, score, metrics, self.step)
+        return score
+
     def offer(self, candidate: Candidate, score: float,
               metrics: Mapping[str, float], step: int,
-              label: str = "search") -> None:
-        self.archive.offer(candidate, metrics, label=label)
+              label: str = "search") -> bool:
+        """Offer one evaluated candidate to the archive and the scalar
+        best; True when the Pareto front changed."""
+        changed = self.archive.offer(candidate, metrics, label=label)
         if score > self.best_score:
             self.best, self.best_score = candidate, score
             self.best_metrics, self.best_label = metrics, label
             self.history.append((step, score))
             if self.progress is not None:
                 self.progress(step, score, candidate)
+        return changed
 
     def result(self, driver: str, seed: int) -> OptResult:
         self.evaluator.close()
@@ -251,6 +288,51 @@ class _Run:
             store_hits=stats.store_hits, archive=self.archive)
 
 
+def _check_iters(iters: "int | None") -> None:
+    if iters is not None and iters < 0:
+        raise ValueError(f"iters must be >= 0, got {iters}")
+
+
+def walk(space: SearchSpace, rng: random.Random,
+         evaluate: Callable[[Candidate], float],
+         current: "Candidate | None", score: float, moves: int, *,
+         temperature: "float | None" = None, final_ratio: float = 0.01,
+         stop: Callable[[], bool]) -> "tuple[Candidate | None, float]":
+    """Move one chain up to ``moves`` steps from ``(current, score)``;
+    returns where it ended.
+
+    With a start ``temperature`` the chain anneals: each move proposes
+    a :meth:`~repro.opt.space.SearchSpace.neighbor`, accepted when no
+    worse or with Metropolis probability, and the temperature cools
+    geometrically to ``final_ratio`` of its start over the walk.
+    Without one the chain samples the space uniformly and keeps the
+    best point seen.  ``evaluate`` scores each proposal (and is where a
+    driver counts and records it); ``stop`` is checked before every
+    move.
+    """
+    if temperature is not None:
+        cooling = final_ratio ** (1.0 / max(1, moves - 1))
+        # The floor matters to islands, whose start temperature decays
+        # per round: 0.7 ** round underflows to 0.0 after ~2090 rounds.
+        temperature = max(1e-9, temperature)
+    for _ in range(moves):
+        if stop():
+            break
+        if temperature is None:
+            candidate = space.random_candidate(rng)
+            new_score = evaluate(candidate)
+            if new_score > score:
+                current, score = candidate, new_score
+            continue
+        candidate = space.neighbor(current, rng)
+        new_score = evaluate(candidate)
+        delta = new_score - score
+        if delta >= 0 or rng.random() < math.exp(delta / temperature):
+            current, score = candidate, new_score
+        temperature *= cooling
+    return current, score
+
+
 def random_search(graph: CDFG, objective="gated_weight", *,
                   n_steps: int | None = None, budgets=None,
                   schedulers=("list",), iters: int = 100, seed: int = 0,
@@ -259,18 +341,15 @@ def random_search(graph: CDFG, objective="gated_weight", *,
                   time_budget=None, durability="batch",
                   progress=None) -> OptResult:
     """Uniform random sampling of the space — the honesty baseline."""
+    _check_iters(iters)
     with _Run(graph, objective, n_steps, budgets, schedulers,
               store, journal, max_evaluations, sim_vectors, pm_base,
               progress=progress, time_budget=time_budget,
               durability=durability) as run:
         rng = random.Random(seed)
         run.seed_greedy()
-        for step in range(1, iters + 1):
-            if run.out_of_time():
-                break
-            candidate = run.space.random_candidate(rng)
-            score, metrics = run.evaluator.evaluate(candidate)
-            run.offer(candidate, score, metrics, step)
+        walk(run.space, rng, run.evaluate, None, -math.inf, iters,
+             stop=run.out_of_time)
         return run.result("random", seed)
 
 
@@ -291,13 +370,13 @@ def anneal(graph: CDFG, objective="gated_weight", *,
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    _check_iters(iters)
     with _Run(graph, objective, n_steps, budgets, schedulers,
               store, journal, max_evaluations, sim_vectors, pm_base,
               progress=progress, time_budget=time_budget,
               durability=durability) as run:
         rng = random.Random(seed)
         run.seed_greedy()
-        step = 0
         for restart in range(restarts):
             if run.out_of_time():
                 break
@@ -306,26 +385,13 @@ def anneal(graph: CDFG, objective="gated_weight", *,
             if chain_iters == 0:
                 continue
             if restart == 0:
-                current, cur_score = run.best, run.best_score
+                current, score = run.best, run.best_score
             else:
                 current = run.space.random_candidate(rng)
-                cur_score, metrics = run.evaluator.evaluate(current)
-                step += 1
-                run.offer(current, cur_score, metrics, step)
-            t_hot = max(1.0, 0.3 * abs(run.best_score))
-            cooling = (0.01) ** (1.0 / max(1, chain_iters - 1))
-            temperature = t_hot
-            for _ in range(chain_iters):
-                if run.out_of_time():
-                    break
-                candidate = run.space.neighbor(current, rng)
-                score, metrics = run.evaluator.evaluate(candidate)
-                step += 1
-                run.offer(candidate, score, metrics, step)
-                delta = score - cur_score
-                if delta >= 0 or rng.random() < math.exp(delta / temperature):
-                    current, cur_score = candidate, score
-                temperature *= cooling
+                score = run.evaluate(current)
+            walk(run.space, rng, run.evaluate, current, score, chain_iters,
+                 temperature=max(1.0, 0.3 * abs(run.best_score)),
+                 stop=run.out_of_time)
         return run.result("anneal", seed)
 
 
@@ -354,7 +420,6 @@ def beam_search(graph: CDFG, objective="gated_weight", *,
               durability=durability) as run:
         run.seed_greedy()
         completion = tuple(order_muxes(graph, "savings"))
-        step = 0
         for steps_budget in run.space.budgets:
             for scheduler in run.space.schedulers:
                 beam: list[tuple[int, ...]] = [()]
@@ -374,76 +439,291 @@ def beam_search(graph: CDFG, objective="gated_weight", *,
                             candidate = Candidate(order=order,
                                                   n_steps=steps_budget,
                                                   scheduler=scheduler)
-                            score, metrics = \
-                                run.evaluator.evaluate(candidate)
-                            step += 1
-                            run.offer(candidate, score, metrics, step)
-                            extensions.append((score, new_prefix))
+                            extensions.append(
+                                (run.evaluate(candidate), new_prefix))
                     extensions.sort(key=lambda pair: (-pair[0], pair[1]))
                     beam = [prefix for _, prefix in extensions[:beam_width]]
         return run.result("beam", seed)
 
 
-def _portfolio(graph: CDFG, **kwargs) -> OptResult:
-    # Imported lazily: repro.opt.portfolio builds on this module.
-    from repro.opt.portfolio import portfolio
+# -- the island-model portfolio --------------------------------------------
 
-    return portfolio(graph, **kwargs)
+#: The heterogeneous chain profiles, cycled over island indices:
+#: annealers from exploitative (cool) to explorative (hot), plus a
+#: uniform-random prospector.  ``t_scale`` scales the start temperature
+#: to the elite score; ``cool`` is the per-round global cooling.
+ISLAND_PROFILES = (
+    {"kind": "anneal", "t_scale": 0.30, "cool": 0.80},
+    {"kind": "anneal", "t_scale": 0.10, "cool": 0.70},
+    {"kind": "random"},
+    {"kind": "anneal", "t_scale": 0.60, "cool": 0.85},
+)
+
+
+@dataclass(frozen=True)
+class IslandState:
+    """One island's chain position between rounds (picklable)."""
+
+    current: "Candidate | None" = None
+    score: float = -math.inf
+
+
+def _island_rng(seed: int, island: int, round_index: int) -> random.Random:
+    """Independent deterministic stream per (seed, island, round)."""
+    return random.Random((seed * 1_000_003 + island) * 8_191 + round_index)
+
+
+# Worker processes keep the deserialized graph across rounds; payloads
+# still carry the dict form so a fresh worker can always rebuild it.
+_WORKER_GRAPHS: dict[str, CDFG] = {}
+
+
+def _payload_graph(payload: dict) -> CDFG:
+    fingerprint = payload["fingerprint"]
+    graph = _WORKER_GRAPHS.get(fingerprint)
+    if graph is None:
+        graph = graph_from_dict(payload["graph"])
+        _WORKER_GRAPHS[fingerprint] = graph
+    return graph
+
+
+def run_island_round(payload: dict) -> dict:
+    """One island, one round, in a worker process (top-level so the
+    pool can pickle it).
+
+    Walks ``moves`` chain steps from the shipped state, evaluating
+    against the shared store with the coordinator's memo snapshot
+    preloaded; ``max_fresh`` bounds fresh computations (crossing it
+    ends the round early, never errors).  Returns the new state, every
+    visited ``(candidate, metrics)`` in trajectory order, the session
+    records to journal, and this round's stats deltas.
+    """
+    graph = _payload_graph(payload)
+    profile = payload["profile"]
+    space: SearchSpace = payload["space"]
+    state: IslandState = payload["state"]
+    rng = _island_rng(payload["seed"], payload["island"],
+                      payload["round_index"])
+    evaluator = Evaluator(
+        graph=graph, objective=payload["objective"],
+        store=payload["store"], journal=None,
+        preload=payload["memo"], max_evaluations=payload["max_fresh"],
+        sim_vectors=payload["sim_vectors"], pm_base=payload["pm_base"])
+    visited: list[tuple[Candidate, dict[str, float]]] = []
+    exhausted = False
+
+    def evaluate(candidate: Candidate) -> float:
+        nonlocal exhausted
+        try:
+            score, metrics = evaluator.evaluate(candidate)
+        except EvaluationBudgetExceeded:
+            # The cap ends the round: -inf is never accepted, and the
+            # walk stops before its next move.
+            exhausted = True
+            return -math.inf
+        visited.append((candidate, metrics))
+        return score
+
+    current, score = state.current, state.score
+    if current is None:
+        current = space.random_candidate(rng)
+        score = evaluate(current)
+    temperature = None
+    if profile["kind"] == "anneal":
+        temperature = (max(1.0, profile["t_scale"] * abs(score))
+                       * profile["cool"] ** payload["round_index"])
+    current, score = walk(space, rng, evaluate, current, score,
+                          payload["moves"], temperature=temperature,
+                          final_ratio=0.1, stop=lambda: exhausted)
+    stats = evaluator.stats
+    return {
+        "island": payload["island"],
+        "state": IslandState(current=current, score=score),
+        "visited": visited,
+        "session": list(evaluator.session.items()),
+        "computed": stats.computed,
+        "memo_hits": stats.memo_hits,
+        "store_hits": stats.store_hits,
+    }
+
+
+def portfolio(graph: CDFG, objective="gated_weight", *,
+              n_steps: int | None = None, budgets=None,
+              schedulers=("list",), iters: "int | None" = 240,
+              seed: int = 0, workers: int = 4, islands: "int | None" = None,
+              migration_every: int = 30, store=None, journal=None,
+              max_evaluations: "int | None" = None,
+              sim_vectors: int = 128, pm_base=None,
+              time_budget: "float | None" = None,
+              archive_size: "int | None" = None,
+              durability: str = "batch",
+              progress=None, front_progress=None) -> OptResult:
+    """Island-model parallel portfolio search (see the module docstring).
+
+    ``iters`` is the per-island move budget (``None`` = unbounded, for
+    pure ``time_budget`` / ``max_evaluations`` runs); ``islands``
+    defaults to ``workers``.  The outcome depends only on (arguments,
+    seed, islands) — never on worker scheduling.  ``front_progress``
+    is called with ``(round, archive)`` after the greedy seeds and
+    after every round that changed the Pareto front.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    islands = workers if islands is None else islands
+    if islands < 1:
+        raise ValueError(f"islands must be >= 1, got {islands}")
+    if migration_every < 1:
+        raise ValueError(
+            f"migration_every must be >= 1, got {migration_every}")
+    _check_iters(iters)
+    if iters is None and time_budget is None and max_evaluations is None:
+        raise ValueError("an unbounded portfolio needs iters=, "
+                         "time_budget= or max_evaluations=")
+    # The coordinator owns all journaling (group-committed); islands
+    # never write, so concurrent appends cannot interleave records.
+    # max_evaluations is enforced per round through the islands' caps,
+    # so the coordinator's own evaluator is unbounded.
+    with _Run(graph, objective, n_steps, budgets, schedulers,
+              store, journal, None, sim_vectors, pm_base,
+              progress=progress, time_budget=time_budget,
+              durability=durability, archive_size=archive_size) as run:
+        run.seed_greedy()
+        if front_progress is not None:
+            front_progress(0, run.archive)
+        # Island work is folded into the coordinator's stats, so they
+        # count the whole run.
+        stats = run.evaluator.stats
+        states = [IslandState() for _ in range(islands)]
+        states[0] = IslandState(current=run.best, score=run.best_score)
+        profiles = [ISLAND_PROFILES[k % len(ISLAND_PROFILES)]
+                    for k in range(islands)]
+        graph_dict = graph_to_dict(graph)
+        fingerprint = run.evaluator.fingerprint()
+        pool = (ProcessPoolExecutor(max_workers=min(workers, islands))
+                if workers > 1 and islands > 1 else None)
+        try:
+            moves_done = 0        # per-island moves completed
+            round_index = 0
+            # EMA of wall seconds per *round move* (one move on every
+            # island).  Measured, not modeled: it absorbs however much
+            # of the island work the machine actually overlaps.
+            per_move = 0.0
+            while iters is None or moves_done < iters:
+                moves = migration_every
+                if iters is not None:
+                    moves = min(moves, iters - moves_done)
+                if run.deadline is not None:
+                    remaining = run.deadline - time.monotonic()
+                    if per_move > 0:
+                        # Shrink the closing rounds to land on the
+                        # deadline instead of overshooting by a round.
+                        moves = max(1, min(moves, int(remaining / per_move)))
+                    else:
+                        # No cost estimate yet: probe with a short round
+                        # so a tight budget is not blown before the
+                        # first measurement exists.
+                        moves = min(moves, 8)
+                    if remaining <= (per_move if per_move > 0 else 0.0):
+                        break
+                caps: "list[int | None]" = [None] * islands
+                if max_evaluations is not None:
+                    remaining_fresh = max_evaluations - stats.computed
+                    if remaining_fresh <= 0:
+                        break
+                    base, extra = divmod(remaining_fresh, islands)
+                    caps = [base + (1 if k < extra else 0)
+                            for k in range(islands)]
+                round_index += 1
+                memo = run.evaluator.memo_snapshot()
+                payloads = [{
+                    "graph": graph_dict, "fingerprint": fingerprint,
+                    "objective": run.objective.signature(),
+                    "space": run.space, "state": states[k],
+                    "profile": profiles[k], "island": k, "seed": seed,
+                    "round_index": round_index, "moves": moves,
+                    "memo": memo, "max_fresh": caps[k], "store": store,
+                    "sim_vectors": sim_vectors, "pm_base": pm_base,
+                } for k in range(islands)]
+                started = time.monotonic()
+                if pool is not None:
+                    reports = list(pool.map(run_island_round, payloads))
+                else:
+                    reports = [run_island_round(p) for p in payloads]
+                sample = (time.monotonic() - started) / max(1, moves)
+                per_move = sample if per_move == 0 else \
+                    0.5 * per_move + 0.5 * sample
+                # Index order, not completion order: worker scheduling
+                # must not be observable in the merge.
+                reports.sort(key=lambda report: report["island"])
+                front_changed = False
+                for report in reports:
+                    k = report["island"]
+                    states[k] = report["state"]
+                    stats.computed += report["computed"]
+                    stats.memo_hits += report["memo_hits"]
+                    stats.store_hits += report["store_hits"]
+                    for key, metrics in report["session"]:
+                        run.evaluator.absorb(key, metrics)
+                    for candidate, metrics in report["visited"]:
+                        score = run.objective.score(metrics)
+                        if run.offer(candidate, score, metrics, round_index,
+                                     f"island{k}"):
+                            front_changed = True
+                moves_done += moves
+                # Migration: reseed annealing islands from a *diverse*
+                # elite set (rank + crowding), not k copies of the best.
+                elites = run.archive.select(islands)
+                if elites:
+                    for k in range(islands):
+                        if profiles[k]["kind"] == "random":
+                            continue
+                        elite = elites[k % len(elites)]
+                        if elite.score > states[k].score:
+                            states[k] = IslandState(current=elite.candidate,
+                                                    score=elite.score)
+                if front_progress is not None and front_changed:
+                    front_progress(round_index, run.archive)
+        finally:
+            if pool is not None:
+                pool.shutdown(wait=True, cancel_futures=True)
+        return run.result("portfolio", seed)
 
 
 DRIVERS: dict[str, Callable[..., OptResult]] = {
     "anneal": anneal,
     "beam": beam_search,
     "random": random_search,
-    "portfolio": _portfolio,
+    "portfolio": portfolio,
 }
-
-#: Keyword arguments every driver accepts.
-COMMON_KNOBS = ("objective", "n_steps", "budgets", "schedulers", "seed",
-                "store", "journal", "max_evaluations", "sim_vectors",
-                "pm_base", "time_budget", "durability", "progress")
-
-#: Per-driver tuning knobs on top of :data:`COMMON_KNOBS`.  A
-#: :class:`SearchSpec` knob outside the chosen driver's set is dropped
-#: (one spec fits every driver); any *other* unknown kwarg is an error.
-DRIVER_KNOBS = {
-    "anneal": ("iters", "restarts"),
-    "beam": ("beam_width",),
-    "random": ("iters",),
-    "portfolio": ("iters", "workers", "islands", "migration_every",
-                  "archive_size", "front_progress"),
-}
-
-_SPEC_KNOBS = ("iters", "restarts", "beam_width", "workers")
 
 
 def optimize(graph: CDFG, search: "SearchSpec | str" = SearchSpec(),
              **kwargs) -> OptResult:
     """Run one driver described by ``search`` (a :class:`SearchSpec` or
-    a driver name); extra keyword arguments go to the driver."""
+    a driver name); extra keyword arguments go to the driver.
+
+    A driver takes the keywords its signature names.  A
+    :class:`SearchSpec` field the chosen driver does not take (or a
+    keyword naming one) is dropped, so one spec fits every driver; any
+    other unknown keyword is an error.
+    """
     spec = SearchSpec(driver=search) if isinstance(search, str) else search
     if spec.driver not in DRIVERS:
         raise ValueError(f"unknown search driver {spec.driver!r}; choose "
                          f"from {sorted(DRIVERS)}")
-    wanted = DRIVER_KNOBS[spec.driver]
-    unknown = sorted(set(kwargs)
-                     - set(COMMON_KNOBS) - set(wanted) - set(_SPEC_KNOBS))
+    driver = DRIVERS[spec.driver]
+    accepted = set(inspect.signature(driver).parameters) - {"graph"}
+    knobs = {f.name: getattr(spec, f.name) for f in fields(spec)
+             if f.name != "driver"}
+    unknown = sorted(set(kwargs) - accepted - set(knobs))
     if unknown:
         raise ValueError(
             f"unknown option(s) {', '.join(repr(k) for k in unknown)} for "
             f"driver {spec.driver!r}; valid options: "
-            f"{', '.join(sorted(set(COMMON_KNOBS) | set(wanted)))}")
-    kwargs.setdefault("objective", spec.objective)
-    kwargs.setdefault("seed", spec.seed)
-    if spec.time_budget is not None:
-        kwargs.setdefault("time_budget", spec.time_budget)
-    # Each driver takes only its own tuning knobs; the spec's others are
-    # dropped here so one SearchSpec (or kwargs pile) fits every driver.
-    spec_defaults = {"iters": spec.iters, "restarts": spec.restarts,
-                     "beam_width": spec.beam_width, "workers": spec.workers}
-    for knob in _SPEC_KNOBS:
-        if knob in wanted:
-            kwargs.setdefault(knob, spec_defaults[knob])
+            f"{', '.join(sorted(accepted))}")
+    for name, value in knobs.items():
+        if name in accepted:
+            kwargs.setdefault(name, value)
         else:
-            kwargs.pop(knob, None)
-    return DRIVERS[spec.driver](graph, **kwargs)
+            kwargs.pop(name, None)
+    return driver(graph, **kwargs)

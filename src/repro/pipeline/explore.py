@@ -397,11 +397,6 @@ def _search_explore(
     base = configs[0]
     points = []
     resumed = 0
-    extra: dict[str, object] = {}
-    if spec_obj.driver == "portfolio":
-        # The island-model driver parallelizes *within* one circuit, so
-        # explore's worker count flows through instead of being ignored.
-        extra["workers"] = max(1, workers)
     for spec in specs:
         graph = _load_spec(spec)
         if isinstance(budgets, Mapping):
@@ -412,7 +407,9 @@ def _search_explore(
             graph, spec_obj, budgets=tuple(circuit_budgets),
             schedulers=schedulers, store=store, journal=resume,
             pm_base=base.pm, durability=durability,
-            sim_vectors=sim_vectors if sim_vectors > 0 else 128, **extra)
+            sim_vectors=sim_vectors if sim_vectors > 0 else 128,
+            # optimize() drops workers for drivers that do not take it.
+            workers=max(1, workers))
         resumed += outcome.resumed
         config = outcome.flow_config(base)
         points.append(_run_point(spec, config, sim_vectors, store))

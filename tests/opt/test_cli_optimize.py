@@ -100,3 +100,76 @@ class TestExploreSearchFlag:
         with pytest.raises(SystemExit, match="critical path"):
             main(["explore", "gcd", "--budgets", "2", "--search",
                   "anneal"])
+
+
+class _Dispatched(Exception):
+    """Stops a command once its search request has been captured."""
+
+
+class TestItersResolution:
+    """``--iters`` is honoured whenever given, whatever its value; only
+    an omitted ``--iters`` on a portfolio run with a ``--time-budget``
+    leaves the wall clock as the sole cap."""
+
+    CASES = [
+        (["--iters", "150"], 150),
+        (["--iters", "151"], 151),
+        ([], None),
+    ]
+
+    @pytest.fixture
+    def optimize_spec(self, monkeypatch):
+        seen = []
+
+        def fake_optimize(graph, spec, **kwargs):
+            seen.append(spec)
+            raise _Dispatched
+
+        monkeypatch.setattr("repro.cli.optimize", fake_optimize)
+        return seen
+
+    @pytest.fixture
+    def submitted(self, monkeypatch):
+        seen = []
+
+        def fake_submit(client, kind, **params):
+            seen.append(params)
+            return {"id": "job", "state": "queued"}
+
+        monkeypatch.setattr("repro.serve.client.ServeClient.submit",
+                            fake_submit)
+        return seen
+
+    @pytest.mark.parametrize("flags,expected", CASES)
+    def test_optimize_portfolio_with_time_budget(self, optimize_spec,
+                                                 flags, expected):
+        with pytest.raises(_Dispatched):
+            main(["optimize", "gcd", "--steps", "7", "--search",
+                  "portfolio", "--time-budget", "5", *flags])
+        assert optimize_spec[0].iters == expected
+
+    @pytest.mark.parametrize("flags,expected", CASES)
+    def test_submit_portfolio_with_time_budget(self, submitted, capsys,
+                                               flags, expected):
+        assert main(["submit", "optimize", "gcd", "--budgets", "7",
+                     "--search", "portfolio", "--time-budget", "5",
+                     *flags]) == 0
+        assert submitted[0]["iters"] == expected
+
+    @pytest.mark.parametrize("search", ["anneal", "portfolio"])
+    def test_default_without_time_budget(self, optimize_spec, submitted,
+                                         capsys, search):
+        with pytest.raises(_Dispatched):
+            main(["optimize", "gcd", "--steps", "7", "--search", search])
+        assert main(["submit", "optimize", "gcd", "--budgets", "7",
+                     "--search", search]) == 0
+        assert optimize_spec[0].iters == 150
+        assert submitted[0]["iters"] == 150
+
+    def test_driver_choices_come_from_the_registry(self, capsys):
+        from repro.opt.search import DRIVERS
+
+        with pytest.raises(SystemExit):
+            main(["optimize", "gcd", "--search", "tabu"])
+        err = capsys.readouterr().err
+        assert all(repr(name) in err for name in DRIVERS)

@@ -13,7 +13,7 @@ import pytest
 from repro.circuits import build
 from repro.core.reordering import gated_weight, strategy_search
 from repro.opt import optimize
-from repro.opt.portfolio import ISLAND_PROFILES, IslandState, portfolio
+from repro.opt.search import ISLAND_PROFILES, IslandState, portfolio
 from repro.opt.search import SearchSpec
 from repro.pipeline.explore import explore
 
@@ -99,6 +99,10 @@ class TestBudgets:
             portfolio(branchy_graph, n_steps=12, islands=0)
         with pytest.raises(ValueError, match="migration_every"):
             portfolio(branchy_graph, n_steps=12, migration_every=0)
+
+    def test_negative_iters_rejected(self, branchy_graph):
+        with pytest.raises(ValueError, match="iters must be >= 0"):
+            portfolio(branchy_graph, n_steps=12, iters=-1, workers=1)
 
 
 class TestResume:

@@ -14,7 +14,9 @@ from repro.opt.search import (
     beam_search,
     optimize,
     random_search,
+    walk,
 )
+from repro.opt.space import SearchSpace
 from repro.pipeline import DiskArtifactCache, explore
 
 
@@ -104,11 +106,56 @@ class TestDeterminismAndResult:
         with pytest.raises(ValueError, match="beam_width"):
             beam_search(gcd_graph, n_steps=7, beam_width=0)
 
+    @pytest.mark.parametrize("driver", [anneal, random_search])
+    def test_negative_iters_rejected(self, gcd_graph, driver):
+        with pytest.raises(ValueError, match="iters must be >= 0"):
+            driver(gcd_graph, n_steps=7, iters=-3)
+
+    @pytest.mark.parametrize("driver", [anneal, random_search])
+    def test_zero_iters_evaluates_only_the_greedy_seeds(self, gcd_graph,
+                                                       driver):
+        result = driver(gcd_graph, n_steps=7, iters=0)
+        assert result.evaluations + result.reused == \
+            len(result.greedy_scores)
+
     def test_spec_dispatch_forwards_driver_knobs(self, gcd_graph):
         spec = SearchSpec(driver="beam", beam_width=1, seed=9)
         result = optimize(gcd_graph, spec, n_steps=7)
         assert result.driver == "beam"
         assert result.seed == 9
+
+
+class TestWalk:
+    def test_cold_start_temperature_is_floored(self, gcd_graph):
+        """An island's start temperature decays as cool ** round and
+        reaches 0.0 in long runs; the walk must still step (and refuse
+        worse moves) instead of dividing by zero."""
+        import random
+
+        assert 0.7 ** 2100 == 0.0
+        space = SearchSpace.for_graph(gcd_graph, n_steps=7)
+        start = space.random_candidate(random.Random(0))
+        current, score = walk(space, random.Random(1), lambda c: -1.0,
+                              start, 0.0, 5, temperature=0.0,
+                              stop=lambda: False)
+        assert (current, score) == (start, 0.0)
+
+    def test_uniform_walk_keeps_the_best_and_honours_stop(self, gcd_graph):
+        import random
+
+        space = SearchSpace.for_graph(gcd_graph, budgets=(5, 6, 7))
+        seen = []
+
+        def evaluate(candidate):
+            seen.append(candidate)
+            return float(candidate.n_steps)
+
+        current, score = walk(space, random.Random(2), evaluate, None,
+                              float("-inf"), 30,
+                              stop=lambda: len(seen) >= 20)
+        assert len(seen) == 20
+        assert score == max(c.n_steps for c in seen)
+        assert current == next(c for c in seen if c.n_steps == score)
 
 
 class TestResume:
