@@ -10,19 +10,21 @@ across PRs:
 * ``compiled`` — :class:`CompiledEngine`, generated straight-line Python
   per vector, timed on the full batch;
 * ``vectorized`` — :class:`VectorizedEngine`, generated NumPy array
-  programs per block (hybrid scalar-slot micro-loop on recurrent
-  plans), timed on the same batch fed as one pre-generated input matrix.
+  programs per block, timed on the same batch fed as one pre-generated
+  input matrix.
 
-The circuit set includes one stress row beyond the paper suite:
-``recurrent`` — :func:`repro.circuits.extra.gated_recurrence`, the
-pinned Hypothesis circuit whose schedule forces the hybrid scalar
-micro-loop; its gate is "no slower than compiled", not the vector floor
-(the recurrence serializes one slot by construction).
+Each circuit's engine comes from ``create_engine(backend="auto")``; the
+row records what it resolved to in ``auto``.  The circuit set includes
+one row beyond the paper suite: ``recurrent`` —
+:func:`repro.circuits.extra.gated_recurrence`, the pinned Hypothesis
+circuit whose guarded state forms a cross-vector recurrence.  The
+vectorized engine refuses it, so ``auto`` must resolve to compiled
+there and it has no vectorized timing row.
 
-Every circuit row carries ``identical``: the vectorized backend must
-agree bit-for-bit (outputs + full ActivityCounter) with the compiled
-engine on the full batch, and the compiled engine with the interpreter
-on the reduced batch.
+Every circuit row carries ``identical``: the ``auto`` engine must agree
+bit-for-bit (outputs + full ActivityCounter) with the compiled engine on
+the full batch, and the compiled engine with the interpreter on the
+reduced batch.
 
 Usage::
 
@@ -33,9 +35,9 @@ A full run writes ``BENCH_sim.json`` (or ``--out``); a smoke run writes
 only when ``--out`` is given, so it never overwrites the committed
 full-mode numbers.
 
-Exits nonzero if any backend diverges, if the vectorized-over-compiled
-speedup falls below ``--min-speedup`` (default 5x) on a non-hybrid
-circuit, or if a hybrid circuit is slower than compiled.  Under
+Exits nonzero if any backend diverges, if ``auto`` resolves to another
+engine than expected, or if the vectorized-over-compiled speedup falls
+below ``--min-speedup`` (default 5x) on a vectorized circuit.  Under
 ``--smoke`` the perf floors are advisory — millisecond-scale timings on
 shared CI runners are too noisy for a hard gate — while the equality
 checks stay fatal.
@@ -55,18 +57,20 @@ from repro.circuits import build  # noqa: E402
 from repro.circuits.extra import gated_recurrence  # noqa: E402
 from repro.pipeline import FlowConfig, run_pair  # noqa: E402
 from repro.sched.timing import critical_path_length  # noqa: E402
+from repro.sim.backend import create_engine  # noqa: E402
 from repro.sim.engine import CompiledEngine  # noqa: E402
 from repro.sim.simulator import RTLSimulator  # noqa: E402
-from repro.sim.vectorized import VectorizedEngine  # noqa: E402
 from repro.sim.vectors import random_vectors, vectors_to_array  # noqa: E402
 
 # Circuit -> step budget; cordic is the largest circuit (Table I: 152
 # ops); None means critical path + 1 (the PM-friendly minimum slack).
 FULL_CIRCUITS = {"dealer": 6, "gcd": 7, "vender": 6, "cordic": 48,
                  "recurrent": None}
-# Smoke keeps two paper circuits plus the stress row so CI always
-# exercises the hybrid micro-loop.
+# Smoke keeps two paper circuits plus the recurrent row so CI always
+# exercises the auto fallback.
 SMOKE_CIRCUITS = {"dealer": 6, "gcd": 7, "recurrent": None}
+# The engine ``auto`` must resolve to; every other circuit vectorizes.
+EXPECTED_AUTO = {"recurrent": "compiled"}
 
 
 def _graph(name):
@@ -97,31 +101,26 @@ def bench_circuit(name: str, steps: int | None, n_batch: int, n_interp: int,
     compiled = CompiledEngine(design)
     compiled_build_s = time.perf_counter() - compile_start
     compile_start = time.perf_counter()
-    vectorized = VectorizedEngine(design)
-    vectorized_build_s = time.perf_counter() - compile_start
-    matrix = vectors_to_array(batch, vectorized.input_names)
+    engine = create_engine(design, backend="auto")
+    auto_build_s = time.perf_counter() - compile_start
 
     interp_s = _timed(lambda: RTLSimulator(design).run_many(small), repeats)
     compiled_s = _timed(lambda: (compiled.reset(),
                                  compiled.run_batch(batch)), repeats)
-    vectorized_s = _timed(lambda: (vectorized.reset(),
-                                   vectorized.run_array(matrix)), repeats)
 
-    # Bit-identity: vectorized == compiled on the full batch;
+    # Bit-identity: the auto engine == compiled on the full batch;
     # compiled == interpreter on the reduced batch.
     compiled.reset()
-    vectorized.reset()
     cout, cact = compiled.run_many(batch)
-    vout, vact = vectorized.run_many(batch)
+    aout, aact = engine.run_many(batch)
     iout, iact = RTLSimulator(design).run_many(small)
     compiled.reset()
     sout, sact = compiled.run_many(small)
-    identical = (cout == vout and cact == vact
+    identical = (cout == aout and cact == aact
                  and sout == iout and sact == iact)
 
     per_interp = interp_s / n_interp
     per_compiled = compiled_s / n_batch
-    per_vectorized = vectorized_s / n_batch
     rows = [
         {"backend": "interpreter", "n_vectors": n_interp,
          "seconds": interp_s, "per_vector_us": per_interp * 1e6},
@@ -129,20 +128,28 @@ def bench_circuit(name: str, steps: int | None, n_batch: int, n_interp: int,
          "seconds": compiled_s, "per_vector_us": per_compiled * 1e6,
          "build_s": compiled_build_s,
          "speedup_vs_interpreter": per_interp / per_compiled},
-        {"backend": "vectorized", "n_vectors": n_batch,
-         "seconds": vectorized_s, "per_vector_us": per_vectorized * 1e6,
-         "build_s": vectorized_build_s,
-         "speedup_vs_interpreter": per_interp / per_vectorized,
-         "speedup_vs_compiled": compiled_s / vectorized_s},
     ]
-    return {
+    result = {
         "circuit": name,
         "n_steps": steps,
-        "hybrid": vectorized.hybrid,
+        "auto": engine.chosen_backend,
         "rows": rows,
-        "vectorized_speedup_over_compiled": compiled_s / vectorized_s,
         "identical": identical,
     }
+    if engine.chosen_backend == "vectorized":
+        matrix = vectors_to_array(batch, engine.input_names)
+        vectorized_s = _timed(lambda: (engine.reset(),
+                                       engine.run_array(matrix)), repeats)
+        per_vectorized = vectorized_s / n_batch
+        rows.append(
+            {"backend": "vectorized", "n_vectors": n_batch,
+             "seconds": vectorized_s, "per_vector_us": per_vectorized * 1e6,
+             "build_s": auto_build_s,
+             "speedup_vs_interpreter": per_interp / per_vectorized,
+             "speedup_vs_compiled": compiled_s / vectorized_s})
+        result["vectorized_speedup_over_compiled"] = \
+            compiled_s / vectorized_s
+    return result
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -155,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="batch size (default 4096, smoke 256)")
     parser.add_argument("--min-speedup", type=float, default=5.0,
                         help="fail if vectorized beats compiled by less "
-                             "than this on non-hybrid circuits (default "
+                             "than this on vectorized circuits (default "
                              "5.0; advisory under --smoke)")
     parser.add_argument("--out", type=Path, default=None,
                         help="output path (default <repo>/BENCH_sim.json "
@@ -181,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
         "results": results,
         "min_vectorized_speedup_measured": min(
             r["vectorized_speedup_over_compiled"] for r in results
-            if not r["hybrid"]),
+            if r["auto"] == "vectorized"),
     }
     if out_path is not None:
         out_path.write_text(json.dumps(report, indent=2) + "\n")
@@ -200,9 +207,8 @@ def main(argv: list[str] | None = None) -> int:
                   f"{row['per_vector_us']:>8.2f} "
                   f"{vs_i and f'{vs_i:8.1f}x' or '':>9s} "
                   f"{vs_c and f'{vs_c:10.1f}x' or '':>11s}")
-        notes = [f"identical={result['identical']}"]
-        if result["hybrid"]:
-            notes.append("hybrid scalar-slot plan")
+        notes = [f"identical={result['identical']}",
+                 f"auto={result['auto']}"]
         print(f"{'':10s} {'; '.join(notes)}")
     if out_path is not None:
         print(f"wrote {out_path}")
@@ -211,27 +217,23 @@ def main(argv: list[str] | None = None) -> int:
     if failures:
         print(f"FAIL: backends diverge on {failures}")
         return 1
-    problems = []
-    slow = [r["circuit"] for r in results if not r["hybrid"]
+    misrouted = [f"{r['circuit']} -> {r['auto']}" for r in results
+                 if r["auto"] != EXPECTED_AUTO.get(r["circuit"],
+                                                   "vectorized")]
+    if misrouted:
+        print(f"FAIL: auto resolved to an unexpected engine: {misrouted}")
+        return 1
+    slow = [r["circuit"] for r in results if r["auto"] == "vectorized"
             and r["vectorized_speedup_over_compiled"] < args.min_speedup]
     if slow:
-        problems.append(
-            f"vectorized speedup below {args.min_speedup}x on {slow}")
-    # The formerly-fallback (hybrid) set must at least match compiled.
-    regressed = [r["circuit"] for r in results if r["hybrid"]
-                 and r["vectorized_speedup_over_compiled"] < 1.0]
-    if regressed:
-        problems.append(f"hybrid plan slower than compiled on {regressed}")
-    if problems:
+        problem = f"vectorized speedup below {args.min_speedup}x on {slow}"
         if args.smoke:
             # Millisecond-scale smoke timings are noisy on shared CI
-            # runners: the correctness gate above stays hard, the perf
-            # floors are advisory here.
-            for problem in problems:
-                print(f"WARN: {problem} (advisory in smoke mode)")
+            # runners: the correctness gates above stay hard, the perf
+            # floor is advisory here.
+            print(f"WARN: {problem} (advisory in smoke mode)")
             return 0
-        for problem in problems:
-            print(f"FAIL: {problem}")
+        print(f"FAIL: {problem}")
         return 1
     return 0
 

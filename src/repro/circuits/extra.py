@@ -14,9 +14,9 @@
   (``test_batch_boundaries_do_not_matter``, seed 0) whose power-managed
   schedule produces an irreducible cross-vector recurrence: a guarded
   register's end-of-step value feeds a *stale* read in the same step, so
-  no closed-form column expression exists and the vectorized backend must
-  fall back to its hybrid scalar-slot micro-loop.  Kept as a named
-  circuit so the regression is deterministic instead of
+  no closed-form column expression exists: the vectorized backend
+  refuses it and ``backend="auto"`` runs it on the compiled engine.  Kept
+  as a named circuit so the regression is deterministic instead of
   generator-dependent.
 """
 
@@ -118,11 +118,11 @@ def gated_recurrence() -> CDFG:
     """Falsifying 14-node circuit pinned from the Hypothesis failure.
 
     Reconstructs, node for node (including the explicit control edge
-    ``one -> v1``), the seed-0 random circuit on which the pre-hybrid
-    ``VectorizedEngine`` raised ``VectorizationError``: after power
-    management the register holding ``v1`` is written under a guard *and*
-    read stale in the same step, which closes a dependency cycle through
-    the cross-vector state.
+    ``one -> v1``), the seed-0 random circuit on which ``VectorizedEngine``
+    raises ``VectorizationError``: after power management the register
+    holding ``v1`` is written under a guard *and* read stale in the same
+    step, which closes a dependency cycle through the cross-vector
+    state.
     """
     b = GraphBuilder("gated_recurrence")
     i0 = b.input("i0")

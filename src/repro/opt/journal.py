@@ -69,6 +69,13 @@ def load_journal(path: Path) -> dict[str, dict]:
     return records
 
 
+def _check_durability(durability: str) -> None:
+    if durability not in DURABILITY_LEVELS:
+        raise ValueError(
+            f"unknown journal durability {durability!r}; "
+            f"expected one of {DURABILITY_LEVELS}")
+
+
 class JournalWriter:
     """Append records to one journal under a durability policy.
 
@@ -80,10 +87,7 @@ class JournalWriter:
     def __init__(self, handle, *, durability: str = "record",
                  batch_records: int = BATCH_RECORDS,
                  batch_seconds: float = BATCH_SECONDS) -> None:
-        if durability not in DURABILITY_LEVELS:
-            raise ValueError(
-                f"unknown journal durability {durability!r}; "
-                f"expected one of {DURABILITY_LEVELS}")
+        _check_durability(durability)
         self._handle = handle
         self.durability = durability
         self.batch_records = max(1, int(batch_records))
@@ -144,6 +148,7 @@ def open_journal(path: Path, kind: str, *, durability: str = "record",
                  batch_seconds: float = BATCH_SECONDS) -> JournalWriter:
     """Open ``path`` for appending; write the meta line when fresh and
     repair a torn (newline-less) tail left by a killed writer."""
+    _check_durability(durability)  # before the file is opened or created
     path.parent.mkdir(parents=True, exist_ok=True)
     fresh = not path.exists()
     torn_tail = False

@@ -385,7 +385,7 @@ def _search_explore(
     sim_vectors: int,
     store: DiskArtifactCache | None,
     resume: str | os.PathLike | None,
-    workers: int = 1,
+    workers: int | None = None,
     durability: str = "batch",
 ) -> ExplorationResult:
     """``explore(search=...)``: one optimizer run + one point per circuit."""
@@ -393,6 +393,9 @@ def _search_explore(
 
     spec_obj = SearchSpec(driver=search) if isinstance(search, str) \
         else search
+    # An explicit ``workers`` overrides the spec's; optimize() drops it
+    # for drivers that do not take it.
+    extra = {} if workers is None else {"workers": max(1, workers)}
     schedulers = tuple(dict.fromkeys(c.scheduler for c in configs))
     base = configs[0]
     points = []
@@ -407,9 +410,7 @@ def _search_explore(
             graph, spec_obj, budgets=tuple(circuit_budgets),
             schedulers=schedulers, store=store, journal=resume,
             pm_base=base.pm, durability=durability,
-            sim_vectors=sim_vectors if sim_vectors > 0 else 128,
-            # optimize() drops workers for drivers that do not take it.
-            workers=max(1, workers))
+            sim_vectors=sim_vectors if sim_vectors > 0 else 128, **extra)
         resumed += outcome.resumed
         config = outcome.flow_config(base)
         points.append(_run_point(spec, config, sim_vectors, store))
@@ -420,7 +421,7 @@ def explore(
     circuits: Iterable[str | CDFG],
     budgets: Iterable[int] | Mapping[str, Iterable[int]],
     configs: Sequence[FlowConfig] | None = None,
-    workers: int = 1,
+    workers: int | None = None,
     sim_vectors: int = 0,
     store: DiskArtifactCache | str | os.PathLike | None = None,
     resume: str | os.PathLike | None = None,
@@ -437,9 +438,9 @@ def explore(
     each config's ``n_steps`` is overridden per budget.  ``workers > 1``
     distributes job chunks over that many worker processes
     (``chunk_size`` jobs per task; default balances ~4 chunks per
-    worker).  ``sim_vectors > 0`` additionally simulates every point
-    (baseline vs managed, on the batch engine) and fills
-    ``simulated_reduction_pct``.
+    worker); ``None`` means 1.  ``sim_vectors > 0`` additionally
+    simulates every point (baseline vs managed, on the batch engine) and
+    fills ``simulated_reduction_pct``.
 
     ``store`` (a :class:`DiskArtifactCache` or a directory path) makes
     stage artifacts persistent and shared across workers and runs;
@@ -455,10 +456,11 @@ def explore(
     point per circuit.  In search mode single-chain drivers run
     sequentially (``workers``/``chunk_size`` are ignored), while
     ``search="portfolio"`` parallelizes *within* each circuit across
-    ``workers`` island processes; ``store=`` additionally backs
-    candidate evaluation, ``resume=`` journals evaluations rather than
-    finished points, and ``result.resumed`` counts evaluations replayed
-    from that journal.
+    ``workers`` island processes (when ``workers`` is ``None``, the
+    :class:`~repro.opt.search.SearchSpec`'s own ``workers``);
+    ``store=`` additionally backs candidate evaluation, ``resume=``
+    journals evaluations rather than finished points, and
+    ``result.resumed`` counts evaluations replayed from that journal.
 
     ``durability`` sets the resume journal's fsync policy: ``"batch"``
     (default) group-commits; ``"record"`` fsyncs every record, as the
@@ -481,6 +483,7 @@ def explore(
                                sim_vectors, store, resume,
                                workers=workers, durability=durability)
 
+    workers = 1 if workers is None else workers
     jobs = plan_jobs(circuits, budgets, configs, sim_vectors)
 
     def announce(point: ExplorationPoint) -> None:

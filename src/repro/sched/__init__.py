@@ -9,7 +9,6 @@ from repro.sched.modulo import (
     ModuloSchedulingError,
     minimize_initiation_interval,
     modulo_schedule,
-    recurrence_mii,
     resource_mii,
 )
 from repro.sched.pipeline import (
@@ -59,7 +58,6 @@ __all__ = [
     "minimize_resources",
     "modulo_schedule",
     "pipelined_minimize",
-    "recurrence_mii",
     "require_feasible",
     "resource_mii",
     "single_unit_allocation",

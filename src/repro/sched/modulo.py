@@ -5,9 +5,9 @@ initiation interval by ceil-division ``II = ceil(L / k)`` and hands it to
 the list scheduler.  This module instead *searches* for the smallest
 feasible II, Rau-style:
 
-1. bound the search from below with ``MII = max(ResMII, RecMII)`` —
-   :func:`resource_mii` from unit occupancy, :func:`recurrence_mii` from
-   dependence recurrences;
+1. bound the search from below with ``MII`` = ResMII, floored at 1 —
+   :func:`resource_mii` from unit occupancy.  CDFGs are acyclic and
+   every edge stays within one sample, so no recurrence bounds II;
 2. for each candidate II, run :func:`modulo_schedule`: a budgeted
    iterative scheduler that places operations against a *modulo
    reservation table* (unit occupancy counted mod II, multi-cycle ops
@@ -68,73 +68,6 @@ def resource_mii(graph: CDFG, allocation: Allocation) -> int:
                 f"{graph.name!r} needs {total} busy-cycles of it")
         mii = max(mii, -(-total // units))
     return mii
-
-
-def recurrence_mii(
-    graph: CDFG,
-    recurrences: "tuple[tuple[int, int, int], ...] | list" = (),
-) -> int:
-    """Recurrence-constrained lower bound on the initiation interval.
-
-    A dependence cycle with total latency ``B`` whose edges cross ``d``
-    sample boundaries forces ``II >= ceil(B / d)``.  CDFGs are acyclic by
-    construction (``add_control_edge`` refuses cycles), and every data and
-    control edge stays within one sample, so for any valid CDFG this
-    returns 1 — the honest answer, stated rather than hidden.  Explicit
-    cross-sample ``recurrences`` (``(src, dst, distance)`` triples, e.g.
-    from a future loop-carried IR) participate fully: feasibility of a
-    candidate II is checked by positive-cycle detection over edge weights
-    ``latency(src) - II * distance``, and the smallest feasible II is
-    found by bisection.
-    """
-    edges: list[tuple[int, int, int, int]] = []
-    total_latency = 0
-    for node in graph:
-        total_latency += node.latency
-        for succ in graph.succs(node.nid):
-            edges.append((node.nid, succ, node.latency, 0))
-    for src, dst, distance in recurrences:
-        if distance <= 0:
-            raise ValueError(
-                f"recurrence {src}->{dst}: distance must be >= 1 samples, "
-                f"got {distance}")
-        edges.append((src, dst, graph.node(src).latency, distance))
-    nodes = graph.node_ids
-    if not edges or _recurrence_feasible(nodes, edges, 1):
-        return 1
-    hi = max(1, total_latency)
-    if not _recurrence_feasible(nodes, edges, hi):
-        raise ModuloSchedulingError(
-            f"{graph.name!r} has a dependence cycle with zero total "
-            "sample distance; no initiation interval can satisfy it")
-    lo = 1  # infeasible; hi is feasible
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _recurrence_feasible(nodes, edges, mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _recurrence_feasible(nodes, edges, ii: int) -> bool:
-    """True when no dependence cycle is over-tight at ``ii``.
-
-    Bellman-Ford longest-path relaxation over weights
-    ``latency - ii * distance``; a relaxation still firing after |V|
-    passes means a positive cycle, i.e. an unsatisfiable recurrence.
-    """
-    dist = {nid: 0 for nid in nodes}
-    for _ in range(len(nodes)):
-        changed = False
-        for src, dst, latency, distance in edges:
-            w = dist[src] + latency - ii * distance
-            if w > dist[dst]:
-                dist[dst] = w
-                changed = True
-        if not changed:
-            return True
-    return False
 
 
 def _op_dependences(graph: CDFG) -> dict[int, set[int]]:
@@ -309,15 +242,14 @@ class ModuloResult:
     ``method`` is ``"modulo"`` when the iterative scheduler found an II
     below the cap, ``"list"`` when the ceil-division incumbent (the legacy
     list-scheduled pipeline) was kept — either because it already sits at
-    MII or because no smaller II was feasible.
+    MII or because no smaller II was feasible.  ``mii`` is the ResMII
+    lower bound the search started from.
     """
 
     schedule: Schedule
     allocation: Allocation
     initiation_interval: int
     mii: int
-    res_mii: int
-    rec_mii: int
     attempts: int
     method: str = "modulo"
 
@@ -350,9 +282,7 @@ def minimize_initiation_interval(
                                        initiation_interval=cap)
         allocation = incumbent.allocation
 
-    rec = recurrence_mii(graph)
-    res = resource_mii(graph, allocation)
-    mii = max(rec, res)
+    mii = resource_mii(graph, allocation)
 
     attempts = 0
     for ii in range(mii, cap + 1):
@@ -366,14 +296,14 @@ def minimize_initiation_interval(
             continue
         return ModuloResult(
             schedule=schedule, allocation=schedule.resource_usage(),
-            initiation_interval=ii, mii=mii, res_mii=res, rec_mii=rec,
-            attempts=attempts, method="modulo")
+            initiation_interval=ii, mii=mii, attempts=attempts,
+            method="modulo")
 
     if incumbent is not None:
         return ModuloResult(
             schedule=incumbent.schedule, allocation=incumbent.allocation,
-            initiation_interval=cap, mii=mii, res_mii=res, rec_mii=rec,
-            attempts=attempts, method="list")
+            initiation_interval=cap, mii=mii, attempts=attempts,
+            method="list")
     raise ModuloSchedulingError(
         f"no initiation interval in [{mii}, {cap}] schedules "
         f"{graph.name!r} in {n_steps} steps under {allocation}")

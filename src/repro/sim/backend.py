@@ -3,16 +3,15 @@
 Two interchangeable, bit-identical batch engines exist:
 
 * ``"compiled"`` — :class:`~repro.sim.engine.CompiledEngine`, generated
-  straight-line Python executed per vector.  Accepts any width; the
-  fallback for designs too wide for the array engine.
+  straight-line Python executed per vector.  Runs every valid design.
 * ``"vectorized"`` — :class:`~repro.sim.vectorized.VectorizedEngine`,
-  generated NumPy array programs executed per *block*, with a hybrid
-  scalar micro-loop covering recurrent guarded state.  Total over valid
-  designs up to the int64 width headroom.
+  generated NumPy array programs executed per *block*.  Refuses, with
+  :class:`~repro.sim.vectorized.VectorizationError`, designs wider than
+  its int64 headroom and designs whose guarded state forms a
+  cross-vector recurrence.
 * ``"auto"`` — vectorized when the design's width fits the array
-  engine's headroom (``VECTOR_WIDTH_LIMIT``), else compiled.  Since the
-  hybrid plan landed no valid design within that width is refused by
-  the vectorized engine, so nothing is swallowed silently.
+  engine's headroom (``VECTOR_WIDTH_LIMIT``) and its plan has no
+  recurrence, else compiled.
 
 Every engine handed out carries a ``chosen_backend`` attribute naming
 the engine actually constructed (``auto`` may resolve to either);
@@ -28,7 +27,7 @@ import logging
 
 from repro.rtl.design import SynthesizedDesign
 from repro.sim.engine import CompiledEngine
-from repro.sim.vectorized import VECTOR_WIDTH_LIMIT, VectorizedEngine
+from repro.sim.vectorized import VectorizationError, VectorizedEngine
 
 BACKENDS = ("compiled", "vectorized", "auto")
 
@@ -44,8 +43,9 @@ def create_engine(design: SynthesizedDesign, power_management: bool = True,
                   backend: str = "auto"):
     """Build the batch engine ``backend`` names for ``design``.
 
-    ``"auto"`` selects the vectorized engine whenever the design's word
-    width fits its numeric envelope, else the compiled one.  The
+    ``"auto"`` selects the vectorized engine whenever the design lowers
+    to an array program, else the compiled one.  An explicit
+    ``"vectorized"`` raises :class:`VectorizationError` instead.  The
     returned engine's ``chosen_backend`` attribute records the
     resolution.
     """
@@ -53,13 +53,15 @@ def create_engine(design: SynthesizedDesign, power_management: bool = True,
         raise ValueError(
             f"unknown simulation backend {backend!r}; "
             f"choose one of {', '.join(BACKENDS)}")
-    if backend == "vectorized" or (backend == "auto"
-                                   and design.width <= VECTOR_WIDTH_LIMIT):
-        return _tag(VectorizedEngine(design,
-                                     power_management=power_management),
-                    "vectorized")
-    if backend == "auto":
-        logger.info("auto backend resolved to compiled for %r (width %d)",
-                    design.graph.name, design.width)
+    if backend != "compiled":
+        try:
+            return _tag(VectorizedEngine(design,
+                                         power_management=power_management),
+                        "vectorized")
+        except VectorizationError as exc:
+            if backend == "vectorized":
+                raise
+            logger.info("auto backend resolved to compiled for %r: %s",
+                        design.graph.name, exc)
     return _tag(CompiledEngine(design, power_management=power_management),
                 "compiled")

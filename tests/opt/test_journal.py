@@ -42,6 +42,12 @@ class TestDurability:
         with pytest.raises(ValueError, match="eventually"):
             open_journal(journal, "test", durability="eventually")
 
+    def test_unknown_durability_creates_no_file(self, journal):
+        """Validation runs before the file is opened or created."""
+        with pytest.raises(ValueError, match="eventually"):
+            open_journal(journal, "test", durability="eventually")
+        assert not journal.exists()
+
     def test_record_mode_never_leaves_a_pending_batch(self, journal):
         handle = open_journal(journal, "test", durability="record")
         for i in range(5):

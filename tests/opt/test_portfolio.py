@@ -6,6 +6,7 @@ islands), worker scheduling only changes concurrency, and a journal
 resume lands on the uninterrupted run's outcome exactly.
 """
 
+import functools
 import json
 
 import pytest
@@ -181,6 +182,25 @@ class TestExploreWiring:
         point = result.points[0]
         assert point.circuit == "gcd"
         assert point.config_label == "portfolio[gated_weight]"
+
+    def test_spec_workers_win_unless_explore_sets_them(self, monkeypatch):
+        """``explore(workers=None)`` leaves the spec's ``workers`` alone;
+        an explicit ``workers`` overrides it."""
+        from repro.opt import search as search_module
+
+        seen = []
+        real = search_module.DRIVERS["portfolio"]
+
+        @functools.wraps(real)
+        def spy(graph, **kwargs):
+            seen.append(kwargs["workers"])
+            return real(graph, **{**kwargs, "workers": 1})
+
+        monkeypatch.setitem(search_module.DRIVERS, "portfolio", spy)
+        spec = SearchSpec(driver="portfolio", iters=10, seed=2, workers=4)
+        explore(["gcd"], budgets=(7,), search=spec)
+        explore(["gcd"], budgets=(7,), workers=2, search=spec)
+        assert seen == [4, 2]
 
 
 class TestProfiles:

@@ -134,3 +134,34 @@ class TestExplore:
             assert point.chosen_backend == backend
             points[backend] = point.simulated_reduction_pct
         assert len(set(points.values())) == 1, points
+
+
+class TestRecurrentDesign:
+    """A design the vectorized engine refuses: ``auto`` runs it on the
+    compiled engine, so its reports equal the compiled ones."""
+
+    @pytest.fixture(scope="class")
+    def recurrent_design(self):
+        from repro.circuits.extra import gated_recurrence
+        from repro.sched.timing import critical_path_length
+
+        graph = gated_recurrence()
+        n_steps = critical_path_length(graph) + 1
+        return run_pair(graph, FlowConfig(n_steps=n_steps)).managed.design
+
+    def test_auto_equals_compiled(self, recurrent_design):
+        compiled = measure_power(recurrent_design, n_vectors=96,
+                                 backend="compiled")
+        auto = measure_power(recurrent_design, n_vectors=96, backend="auto")
+        assert auto == compiled
+        assert auto.chosen_backend == "compiled"
+
+    def test_monte_carlo_auto_equals_compiled(self, recurrent_design):
+        kwargs = dict(rel_tol=0.02, seed=1996, block_size=64,
+                      max_vectors=4096)
+        compiled = measure_power(recurrent_design, backend="compiled",
+                                 **kwargs)
+        auto = measure_power(recurrent_design, backend="auto", **kwargs)
+        assert auto == compiled
+        assert auto.samples == compiled.samples
+        assert auto.chosen_backend == "compiled"

@@ -11,9 +11,9 @@ from repro.sched.modulo import (
     ModuloSchedulingError,
     minimize_initiation_interval,
     modulo_schedule,
-    recurrence_mii,
     resource_mii,
 )
+from repro.sched.minimize import minimize_resources
 from repro.sched.resources import Allocation, unbounded_allocation
 from repro.sched.schedule import Schedule
 from repro.sched.timing import critical_path_length
@@ -52,28 +52,6 @@ class TestResourceMII:
     def test_missing_class_rejected(self, dealer_graph):
         with pytest.raises(ValueError, match="no .* unit"):
             resource_mii(dealer_graph, Allocation({ResourceClass.MUL: 4}))
-
-
-class TestRecurrenceMII:
-    def test_acyclic_graph_is_one(self, small_circuit):
-        assert recurrence_mii(small_circuit) == 1
-
-    def test_explicit_recurrence_bounds_ii(self, chain_graph):
-        # chain: a,c -> add(s) -> sub(d) -> out.  A distance-1 feedback
-        # from d to s closes a cycle of total latency 2, forcing II >= 2.
-        ids = {n.name: n.nid for n in chain_graph.operations()}
-        assert recurrence_mii(
-            chain_graph, [(ids["d"], ids["s"], 1)]) == 2
-
-    def test_longer_distance_relaxes_the_bound(self, chain_graph):
-        ids = {n.name: n.nid for n in chain_graph.operations()}
-        assert recurrence_mii(
-            chain_graph, [(ids["d"], ids["s"], 2)]) == 1
-
-    def test_nonpositive_distance_rejected(self, chain_graph):
-        ids = {n.name: n.nid for n in chain_graph.operations()}
-        with pytest.raises(ValueError, match="distance"):
-            recurrence_mii(chain_graph, [(ids["d"], ids["s"], 0)])
 
 
 class TestModuloReservationTable:
@@ -186,10 +164,10 @@ class TestMinimizeInitiationInterval:
         assert found.attempts == 0
         found.schedule.verify(found.allocation)
 
-    def test_mii_recorded_with_both_components(self, vender_graph):
+    def test_mii_is_the_resource_bound(self, vender_graph):
         found = minimize_initiation_interval(vender_graph, 6)
-        assert found.mii == max(found.res_mii, found.rec_mii)
-        assert found.rec_mii == 1
+        incumbent = minimize_resources(vender_graph, 6, initiation_interval=6)
+        assert found.mii == resource_mii(vender_graph, incumbent.allocation)
 
     def test_explicit_allocation_may_fail(self):
         # Two 1-cycle muls on one unit need II >= 2; capping at 1 with a
@@ -217,7 +195,9 @@ class TestModuloProperties:
         found = minimize_initiation_interval(graph, n_steps)
         ii = found.initiation_interval
         assert found.mii <= ii <= n_steps
-        assert found.mii == max(found.res_mii, found.rec_mii)
+        incumbent = minimize_resources(graph, n_steps,
+                                       initiation_interval=n_steps)
+        assert found.mii == resource_mii(graph, incumbent.allocation)
         schedule = found.schedule
         assert schedule.initiation_interval == ii
 

@@ -66,6 +66,30 @@ class TestCompileOnce:
         design = _design()
         assert CompiledEngine(design).plan is VectorizedEngine(design).plan
 
+    def test_refusal_cached(self, monkeypatch):
+        """A plan the vectorized engine refuses is generated once; later
+        constructions re-raise from the cache."""
+        from repro.circuits.extra import gated_recurrence
+        from repro.sched.timing import critical_path_length
+        from repro.sim import vectorized
+
+        graph = gated_recurrence()
+        design = run_pair(graph, FlowConfig(
+            n_steps=critical_path_length(graph) + 1)).managed.design
+        calls = []
+        real = vectorized.generate_vector_source
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(vectorized, "generate_vector_source", counting)
+        for _ in range(2):
+            with pytest.raises(vectorized.VectorizationError,
+                               match="gated_recurrence"):
+                VectorizedEngine(design)
+        assert len(calls) == 1
+
     def test_pm_modes_cached_separately(self):
         design = _design()
         on = CompiledEngine(design, power_management=True)

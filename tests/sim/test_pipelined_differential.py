@@ -1,8 +1,8 @@
 """Differential tests for modulo-scheduled (pipelined) designs.
 
 A design synthesized with ``scheduler="pipeline"`` must compute the same
-function as the reference model and simulate bit-identically across the
-compiled and vectorized backends — in both pipelined-gating modes.
+function as the reference model on the compiled engine and on the engine
+``auto`` resolves to — in both pipelined-gating modes.
 Gating only ever skips work whose result the sample discards, so neither
 per-sample guard copies nor dropped guards may change outputs.
 """
@@ -16,6 +16,8 @@ from repro.sched.timing import critical_path_length
 from repro.sim.backend import create_engine
 from repro.sim.engine import CompiledEngine
 from repro.sim.reference import evaluate
+from repro.sim.simulator import RTLSimulator
+from repro.sim.vectorized import VectorizationError
 from repro.sim.vectors import random_vectors
 
 #: (spec, extra slack) — paper benchmarks, generated families, and the
@@ -40,8 +42,11 @@ def assert_matches_reference(graph, design, vectors):
     expected = [evaluate(graph, v, width=design.width) for v in vectors]
     compiled, _ = CompiledEngine(design).run_many(vectors)
     assert compiled == expected
-    outputs, _ = create_engine(design, backend="vectorized").run_many(vectors)
-    assert outputs == expected
+    # ``auto``: vectorized, or compiled where drop-mode gating leaves a
+    # guarded recurrence the array engine refuses.
+    engine = create_engine(design, backend="auto")
+    outputs, _ = engine.run_many(vectors)
+    assert outputs == expected, engine.chosen_backend
 
 
 class TestPipelinedDesignsAreBitIdentical:
@@ -77,3 +82,34 @@ class TestPipelinedDesignsAreBitIdentical:
         a, _ = CompiledEngine(flat.design).run_many(vectors)
         b, _ = CompiledEngine(piped.design).run_many(vectors)
         assert a == b
+
+
+class TestRecurrentDropModeDesign:
+    """``gen:branchy:7`` in ``drop`` mode at II 6 (the ``bench_pipeline``
+    point): dropped guards leave a guarded register in a cross-vector
+    recurrence, which the vectorized engine refuses."""
+
+    @pytest.fixture(scope="class")
+    def design(self):
+        graph = build("gen:branchy:7")
+        result = Pipeline().run(graph, FlowConfig(
+            n_steps=critical_path_length(graph) + 3, scheduler="pipeline",
+            initiation_interval=6, pipelined_gating="drop"))
+        return graph, result.design
+
+    def test_vectorized_names_design_and_slots(self, design):
+        _, design = design
+        with pytest.raises(VectorizationError,
+                           match=r"'gen:branchy:7' .*\(slots r8\)"):
+            create_engine(design, backend="vectorized")
+
+    def test_auto_runs_compiled_like_the_interpreter(self, design):
+        graph, design = design
+        engine = create_engine(design, backend="auto")
+        assert isinstance(engine, CompiledEngine)
+        assert engine.chosen_backend == "compiled"
+        vectors = random_vectors(graph, 24, seed=7)
+        outputs, activity = engine.run_many(vectors)
+        assert (outputs, activity) == RTLSimulator(design).run_many(vectors)
+        assert outputs == [evaluate(graph, v, width=design.width)
+                           for v in vectors]

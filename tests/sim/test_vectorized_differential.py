@@ -20,7 +20,7 @@ from repro.sim.activity import ActivityCounter
 from repro.sim.backend import create_engine
 from repro.sim.engine import CompiledEngine
 from repro.sim.simulator import RTLSimulator
-from repro.sim.vectorized import VectorizedEngine
+from repro.sim.vectorized import VectorizationError, VectorizedEngine
 from repro.sim.vectors import (
     array_random_vectors,
     random_vectors,
@@ -52,6 +52,17 @@ def assert_identical(design, vectors, power_management):
     assert vact.controller_cycles == cact.controller_cycles
     assert vact.controller_literals == cact.controller_literals
     assert vact == cact == lact
+
+
+def assert_auto_falls_back(design, vectors, power_management):
+    """A design the vectorized engine refuses runs on the compiled engine
+    under ``auto``, bit-identically to the interpreter."""
+    engine = create_engine(design, power_management=power_management,
+                           backend="auto")
+    assert isinstance(engine, CompiledEngine)
+    assert engine.chosen_backend == "compiled"
+    legacy = RTLSimulator(design, power_management=power_management)
+    assert engine.run_many(vectors) == legacy.run_many(vectors)
 
 
 class TestRegisteredCircuits:
@@ -217,10 +228,9 @@ class TestGeneratedCircuitFuzz:
     runs every time) are synthesized baseline + managed and executed on
     all three backends; outputs and the full merged activity must be
     bit-identical, and outputs must also match the functional reference
-    model evaluated on the input CDFG.  Since the hybrid scalar-slot
-    plan, the vectorized backend is total: every seed must vectorize
-    (possibly via the hybrid micro-loop) with **zero** fallbacks — the
-    PR-4 fallback budget is gone.
+    model evaluated on the input CDFG.  No seed in this set has a
+    cross-vector recurrence, so every one must vectorize with **zero**
+    fallbacks to the compiled engine.
     """
 
     #: (preset, seed range) — 220 seeds total, ≥200 per the acceptance
@@ -263,14 +273,16 @@ class TestGeneratedCircuitFuzz:
 
 
 class TestGatedRecurrenceRegression:
-    """Pinned 14-node circuit that used to raise ``VectorizationError``.
+    """Pinned 14-node circuit whose guarded state is a recurrence.
 
     Hypothesis (seed 0) found it through
     ``test_batch_boundaries_do_not_matter``: power management leaves a
     register that is written under a guard and read stale within the same
-    step, an irreducible cross-vector recurrence.  The circuit is frozen
-    as :func:`repro.circuits.extra.gated_recurrence` so the regression
-    stays deterministic even if the strategy or its shrinker changes.
+    step, an irreducible cross-vector recurrence.  The vectorized engine
+    refuses it, and ``auto`` runs it on the compiled engine.  The circuit
+    is frozen as :func:`repro.circuits.extra.gated_recurrence` so the
+    regression stays deterministic even if the strategy or its shrinker
+    changes.
     """
 
     @pytest.fixture(scope="class")
@@ -282,36 +294,45 @@ class TestGatedRecurrenceRegression:
         design = run_pair(graph, FlowConfig(n_steps=cp + 1)).managed.design
         return graph, design
 
-    def test_plan_is_hybrid(self, recurrent_design):
+    def test_vectorized_refuses(self, recurrent_design):
         _, design = recurrent_design
-        engine = VectorizedEngine(design)
-        assert engine.hybrid
-        assert engine.scalar_slots  # at least one scalar micro-loop slot
+        with pytest.raises(VectorizationError,
+                           match=r"'gated_recurrence' .*recurrence "
+                                 r"\(slots r2\)"):
+            create_engine(design, backend="vectorized")
+        # Without power management nothing is guarded: no recurrence.
+        engine = create_engine(design, power_management=False,
+                               backend="vectorized")
+        assert isinstance(engine, VectorizedEngine)
 
     def test_bit_identical_to_compiled(self, recurrent_design):
+        """With power management on, ``auto`` is the compiled engine and
+        matches the interpreter; with it off all three engines agree."""
         graph, design = recurrent_design
         vectors = random_vectors(graph, 48, seed=0)
-        assert_identical(design, vectors, True)
+        assert_auto_falls_back(design, vectors, True)
         assert_identical(design, vectors, False)
 
     def test_batch_boundaries_do_not_matter(self, recurrent_design):
         """The exact property the Hypothesis failure falsified."""
         graph, design = recurrent_design
         vectors = random_vectors(graph, 9, seed=0)
-        one = VectorizedEngine(design).run_batch(vectors)
-        split = VectorizedEngine(design)
+        one = create_engine(design).run_batch(vectors)
+        split = create_engine(design)
         parts = [split.run_batch(vectors[:4]), split.run_batch(vectors[4:])]
         assert sum((p.outputs for p in parts), []) == one.outputs
         merged = ActivityCounter(width=design.width)
         for p in parts:
             merged.merge(p.activity)
         assert merged == one.activity
+        legacy = RTLSimulator(design).run_many(vectors)
+        assert legacy == (one.outputs, one.activity)
 
-    def test_auto_stays_vectorized(self, recurrent_design):
+    def test_auto_falls_back(self, recurrent_design):
         _, design = recurrent_design
         engine = create_engine(design, backend="auto")
-        assert isinstance(engine, VectorizedEngine)
-        assert engine.chosen_backend == "vectorized"
+        assert isinstance(engine, CompiledEngine)
+        assert engine.chosen_backend == "compiled"
 
 
 class TestRandomCircuits:
@@ -324,9 +345,11 @@ class TestRandomCircuits:
         vectors = random_vectors(graph, 6, seed=seed)
         for result in (pair.managed, pair.baseline):
             for pm in (True, False):
-                # Cross-vector recurrences run through the hybrid
-                # scalar-slot plan; nothing may raise or fall back.
-                assert_identical(result.design, vectors, pm)
+                try:
+                    assert_identical(result.design, vectors, pm)
+                except VectorizationError:
+                    # A cross-vector recurrence: auto must fall back.
+                    assert_auto_falls_back(result.design, vectors, pm)
 
     @settings(max_examples=20, deadline=None)
     @given(circuits(max_ops=8), st.integers(min_value=0, max_value=10_000))
@@ -334,8 +357,10 @@ class TestRandomCircuits:
         cp = critical_path_length(graph)
         design = run_pair(graph, FlowConfig(n_steps=cp + 1)).managed.design
         vectors = random_vectors(graph, 9, seed=seed)
-        one = VectorizedEngine(design).run_batch(vectors)
-        split = VectorizedEngine(design)
+        # ``auto``: the vectorized engine, or the compiled one for a
+        # design whose guarded state is a recurrence.
+        one = create_engine(design).run_batch(vectors)
+        split = create_engine(design)
         parts = [split.run_batch(vectors[:4]), split.run_batch(vectors[4:])]
         assert sum((p.outputs for p in parts), []) == one.outputs
         merged = ActivityCounter(width=design.width)
